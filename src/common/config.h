@@ -107,9 +107,9 @@ struct Config {
   int max_concurrent_queries = 4;
   // Per-query budget for the memory the pipeline breakers materialize (hash
   // join build side, aggregation groups, sort runs, exchange queues).
-  // Exceeding it makes the breakers spill to disk (see enable_spill); only
-  // when spilling is disabled or cannot make progress does the query fail
-  // with Status::ResourceExhausted rather than OOMing the process.
+  // Exceeding it makes the breakers spill to disk; only when spilling cannot
+  // make progress does the query fail with Status::ResourceExhausted rather
+  // than OOMing the process.
   // 0 = unlimited.
   size_t query_memory_budget_bytes = 0;
   // Process-wide memory budget owned by the MemoryGovernor
@@ -134,12 +134,6 @@ struct Config {
   // proactively only once it holds at least this many reserved bytes, so
   // tiny operators don't thrash the spill path to free negligible memory.
   size_t pressure_spill_min_bytes = 256 << 10;
-  // Graceful degradation under the memory budget: when a Reserve would
-  // overshoot, hash join and hash aggregation switch to radix-partitioned
-  // spilling and sort becomes an external sort (runs + k-way merge) instead
-  // of failing the query. Off = the pre-spill behavior (hard
-  // ResourceExhausted), which the budget-exhaustion tests rely on.
-  bool enable_spill = true;
   // Radix partitions (fan-out) for spilled hash join/aggregation. Rounded to
   // a power of two in [2, 256]; each spilled partition must individually fit
   // in the budget when it is reloaded.

@@ -2,15 +2,11 @@
 
 #include <algorithm>
 #include <cstring>
-#include <filesystem>
 #include <limits>
-#include <system_error>
 
 #include "common/bitutil.h"
-#include "common/failpoint.h"
 #include "common/hash.h"
 #include "exec/profile.h"
-#include "storage/spill_file.h"
 
 namespace vwise {
 
@@ -134,7 +130,11 @@ HashAggOperator::HashAggOperator(OperatorPtr child,
     : child_(InterposeChild(std::move(child), config, "hash_agg.child")),
       group_cols_(std::move(group_cols)),
       aggs_(std::move(aggs)),
-      config_(config) {
+      config_(config),
+      spill_(config_, 1, [this](size_t, const DataChunk& chunk,
+                                uint64_t* hashes) {
+        HashStateKeys(chunk, hashes);
+      }) {
   const auto& in_types = child_->OutputTypes();
   for (size_t c : group_cols_) out_types_.push_back(in_types[c]);
   for (const AggSpec& a : aggs_) {
@@ -160,7 +160,7 @@ HashAggOperator::HashAggOperator(OperatorPtr child,
   }
 }
 
-HashAggOperator::~HashAggOperator() { DropPartitions(); }
+HashAggOperator::~HashAggOperator() = default;
 
 Status HashAggOperator::OpenImpl() {
   VWISE_RETURN_IF_ERROR(child_->Open(ctx()));
@@ -193,11 +193,7 @@ Status HashAggOperator::OpenImpl() {
   ResizeTable(1024);
   consumed_ = false;
   emit_cursor_ = 0;
-  spilled_ = false;
-  DropPartitions();
-  spill_partitions_stat_ = 0;
-  spill_repartitions_stat_ = 0;
-  spill_depth_stat_ = 0;
+  spill_.Bind(ctx());
   hash_scratch_ = ctx()->scratch()->AcquireArray<uint64_t>(config_.vector_size);
   group_idx_ = ctx()->scratch()->AcquireArray<uint32_t>(config_.vector_size);
   emit_idx_ = ctx()->scratch()->AcquireArray<uint32_t>(config_.vector_size);
@@ -462,10 +458,7 @@ Status HashAggOperator::ConsumeInput() {
       while (true) {
         Status grown = mem_.Grow(slice * per_group_bytes_);
         if (grown.ok()) break;
-        if (grown.code() != StatusCode::kResourceExhausted ||
-            !config_.enable_spill) {
-          return grown;
-        }
+        if (grown.code() != StatusCode::kResourceExhausted) return grown;
         if (n_groups_ > 0) {
           // Flush the table to the radix partitions and retry with the
           // budget freed up.
@@ -502,36 +495,16 @@ Status HashAggOperator::ConsumeInput() {
       reserved_groups_ = n_groups_;
       done += slice;
     }
-    // Governor pressure signal (polled alongside ctx()->Check() above):
-    // queries are waiting for global memory, so proactively flush the group
-    // table and shrink this reservation instead of holding it.
-    if (config_.enable_spill && n_groups_ > 0 &&
-        mem_.bytes() >= config_.pressure_spill_min_bytes &&
-        ctx()->MemoryPressure()) {
-      VWISE_RETURN_IF_ERROR(SpillGroups());
-      ctx()->NotePressureSpill();
-      continue;
-    }
-    // Coexistence cap: flush the table once it holds more than half the
-    // budget so a downstream breaker (e.g. a Sort consuming our output)
-    // is not starved of reservation headroom — and vice versa, our own
-    // partition reloads still fit next to a capped downstream buffer.
-    if (config_.enable_spill && ctx()->memory_budget() > 0 && n_groups_ > 0 &&
-        mem_.bytes() > ctx()->memory_budget() / 2) {
+    if (ShouldSpill(ctx(), config_, mem_.bytes())) {
       VWISE_RETURN_IF_ERROR(SpillGroups());
     }
   }
   child_->Close();
-  if (spilled_) {
+  if (spill_.active()) {
     // Flush the tail so every group lives in exactly one partition, then
     // close the writers; emission reloads partitions one at a time.
     VWISE_RETURN_IF_ERROR(SpillGroups());
-    writers_.clear();
-    pending_.clear();
-    for (const std::string& path : partition_paths_) {
-      pending_.push_back({path, 0});
-    }
-    partition_paths_.clear();
+    spill_.CloseWriters();
     return Status::OK();
   }
   // An ungrouped aggregate always emits one row, even on empty input.
@@ -619,6 +592,7 @@ void HashAggOperator::BuildStateSchema() {
 
 void HashAggOperator::ClearTable() {
   n_groups_ = 0;
+  emit_cursor_ = 0;
   group_hashes_.clear();
   const auto& in_types = child_->OutputTypes();
   key_stores_.clear();
@@ -635,68 +609,40 @@ void HashAggOperator::ClearTable() {
 
 Status HashAggOperator::SpillGroups() {
   if (n_groups_ == 0) return Status::OK();
-  if (writers_.empty()) {
-    spilled_ = true;
-    n_partitions_ = SpillPartitionCount(config_.spill_partitions);
-    spill_partitions_stat_ = n_partitions_;
+  if (!spill_.active()) {
     BuildStateSchema();
-    for (size_t p = 0; p < n_partitions_; p++) {
-      std::string path;
-      VWISE_ASSIGN_OR_RETURN(path, ctx()->NewSpillPath("agg_part"));
-      partition_paths_.push_back(path);
-      std::unique_ptr<SpillWriter> writer;
-      VWISE_ASSIGN_OR_RETURN(writer,
-                             SpillWriter::Create(path, state_types_,
-                                                 &ctx()->spill_counters()));
-      writers_.push_back(std::move(writer));
-    }
+    VWISE_RETURN_IF_ERROR(spill_.OpenSide(0, "agg_part", state_types_));
   }
-  // Partition on HIGH hash bits: the group table (and a downstream reload's
-  // table) masks the low bits, so low-bit partitioning would put every group
-  // of a partition in the same few buckets.
-  std::vector<std::vector<uint32_t>> buckets(n_partitions_);
-  for (uint32_t g = 0; g < n_groups_; g++) {
-    buckets[(group_hashes_[g] >> 56) & (n_partitions_ - 1)].push_back(g);
-  }
-  DataChunk scratch;
-  scratch.Init(state_types_, config_.vector_size);
-  for (size_t p = 0; p < n_partitions_; p++) {
-    const std::vector<uint32_t>& ids = buckets[p];
-    for (size_t i = 0; i < ids.size(); i += scratch.capacity()) {
-      VWISE_RETURN_IF_ERROR(ctx()->Check());
-      size_t batch = std::min(scratch.capacity(), ids.size() - i);
-      scratch.Reset();
-      for (size_t k = 0; k < group_cols_.size(); k++) {
-        key_stores_[k].Gather(ids.data() + i, batch, &scratch.column(k));
-      }
-      for (size_t a = 0; a < aggs_.size(); a++) {
-        const AggState& st = states_[a];
-        const StateLane& lane = lanes_[a];
-        Vector& value = scratch.column(lane.value_col);
-        for (size_t j = 0; j < batch; j++) {
-          uint32_t g = ids[i + j];
-          if (lane.is_i64) {
-            value.Data<int64_t>()[j] = st.i64[g];
-          } else {
-            value.Data<double>()[j] = st.f64[g];
-          }
-          if (lane.count_col != SIZE_MAX) {
-            scratch.column(lane.count_col).Data<int64_t>()[j] = st.count[g];
+  VWISE_RETURN_IF_ERROR(spill_.Flush(
+      0, n_groups_, [this](uint32_t g) { return group_hashes_[g]; },
+      [this](const uint32_t* ids, size_t n, DataChunk* out) {
+        for (size_t k = 0; k < group_cols_.size(); k++) {
+          key_stores_[k].Gather(ids, n, &out->column(k));
+        }
+        for (size_t a = 0; a < aggs_.size(); a++) {
+          const AggState& st = states_[a];
+          const StateLane& lane = lanes_[a];
+          Vector& value = out->column(lane.value_col);
+          for (size_t j = 0; j < n; j++) {
+            uint32_t g = ids[j];
+            if (lane.is_i64) {
+              value.Data<int64_t>()[j] = st.i64[g];
+            } else {
+              value.Data<double>()[j] = st.f64[g];
+            }
+            if (lane.count_col != SIZE_MAX) {
+              out->column(lane.count_col).Data<int64_t>()[j] = st.count[g];
+            }
           }
         }
-      }
-      scratch.SetCount(batch);
-      VWISE_RETURN_IF_ERROR(writers_[p]->Append(scratch));
-    }
-  }
+      }));
   ClearTable();
   return Status::OK();
 }
 
-Status HashAggOperator::ProcessStateChunk(const DataChunk& chunk) {
-  size_t n = chunk.count();  // state chunks are dense
-  uint64_t* hashes = hash_scratch_.data<uint64_t>();
-  uint32_t* groups = group_idx_.data<uint32_t>();
+void HashAggOperator::HashStateKeys(const DataChunk& chunk,
+                                    uint64_t* hashes) const {
+  size_t n = chunk.count();
   std::fill(hashes, hashes + n, 0);
   for (size_t k = 0; k < group_cols_.size(); k++) {
     const Vector& key = chunk.column(k);
@@ -704,6 +650,13 @@ Status HashAggOperator::ProcessStateChunk(const DataChunk& chunk) {
       hashes[i] = HashCombine(hashes[i], HashAt(key, static_cast<sel_t>(i)));
     }
   }
+}
+
+Status HashAggOperator::ProcessStateChunk(const DataChunk& chunk) {
+  size_t n = chunk.count();  // state chunks are dense
+  uint64_t* hashes = hash_scratch_.data<uint64_t>();
+  uint32_t* groups = group_idx_.data<uint32_t>();
+  HashStateKeys(chunk, hashes);
   for (size_t i = 0; i < n; i++) {
     groups[i] = FindOrCreateGroup(chunk, static_cast<sel_t>(i), hashes[i],
                                   identity_cols_.data());
@@ -762,136 +715,34 @@ Status HashAggOperator::ProcessStateChunk(const DataChunk& chunk) {
   return Status::OK();
 }
 
-Status HashAggOperator::LoadPartition(const std::string& path) {
+Status HashAggOperator::LoadPartition() {
   ClearTable();
-  std::unique_ptr<SpillReader> reader;
-  VWISE_ASSIGN_OR_RETURN(reader,
-                         SpillReader::Open(path, state_types_,
-                                           &ctx()->spill_counters()));
-  DataChunk chunk;
-  chunk.Init(state_types_, config_.vector_size);
-  while (true) {
-    VWISE_RETURN_IF_ERROR(ctx()->Check());
-    bool more = false;
-    VWISE_ASSIGN_OR_RETURN(more, reader->Next(&chunk));
-    if (!more) break;
+  return spill_.ReadCurrent(0, [this](const DataChunk& chunk) -> Status {
     size_t n = chunk.count();
     // Same reserve-before-insert protocol as the consume path.
     // ResourceExhausted here means one partition's groups alone exceed the
-    // budget; the caller re-partitions it onto a fresh radix level (bounded
-    // by Config::spill_max_repartition_depth) instead of failing the query.
+    // budget; the caller re-partitions it instead of failing the query.
     VWISE_RETURN_IF_ERROR(mem_.Grow(n * per_group_bytes_));
     size_t before = n_groups_;
     VWISE_RETURN_IF_ERROR(ProcessStateChunk(chunk));
     mem_.Shrink((n - (n_groups_ - before)) * per_group_bytes_);
     reserved_groups_ = n_groups_;
+    return Status::OK();
+  });
+}
+
+Status HashAggOperator::LoadNextPartition() {
+  while (emit_cursor_ >= n_groups_) {
+    if (!spill_.NextPartition()) return Status::OK();
+    Status load = LoadPartition();
+    if (!load.ok()) {
+      ClearTable();  // drop the partially merged groups
+      VWISE_RETURN_IF_ERROR(spill_.Repartition(load));
+      continue;
+    }
+    spill_.DropCurrent();  // merged; the file is no longer needed
   }
   return Status::OK();
-}
-
-size_t HashAggOperator::RepartitionFanout(uint64_t part_bytes) const {
-  // Aim each child at a fraction of the budget: serialized state rows
-  // understate resident group bytes (per_group_bytes_ covers table slots and
-  // hash entries too).
-  size_t budget = ctx()->memory_budget();
-  uint64_t target = budget > 0 ? static_cast<uint64_t>(budget) / 4
-                               : (32ull << 20);
-  if (target == 0) target = 1;
-  uint64_t need = part_bytes / target + 2;
-  size_t fanout =
-      SpillPartitionCount(static_cast<size_t>(need > 256 ? 256 : need));
-  // Capped at the configured partition count: each child holds an open
-  // writer with its own buffers, so one level never fans wider than the
-  // initial flush; depth supplies the remaining capacity (fanout^depth).
-  size_t cap = SpillPartitionCount(config_.spill_partitions);
-  return fanout > cap ? cap : fanout;
-}
-
-Status HashAggOperator::RepartitionPartition(const PendingPartition& part) {
-  VWISE_FAILPOINT("spill.repartition");
-  // Drop the partially merged groups the failed load left behind.
-  ClearTable();
-  size_t level = part.level + 1;
-  // A fresh radix byte per level: level L routes on group-hash bits
-  // [56 - 8L, 64 - 8L), so children split what their parent could not.
-  // Identical-key groups can never be split (they were already merged into
-  // one state row per flush anyway); the depth bound fails such floods
-  // cleanly.
-  size_t shift = 56 - 8 * (level <= 7 ? level : 7);
-  std::error_code ec;
-  uint64_t part_bytes = std::filesystem::file_size(part.path, ec);
-  if (ec) part_bytes = 0;
-  size_t fanout = RepartitionFanout(part_bytes);
-  spill_repartitions_stat_++;
-  if (level > spill_depth_stat_) spill_depth_stat_ = level;
-  spill_partitions_stat_ += fanout;
-
-  std::vector<PendingPartition> children(fanout);
-  std::vector<std::unique_ptr<SpillWriter>> cw(fanout);
-  for (size_t f = 0; f < fanout; f++) {
-    children[f].level = level;
-    VWISE_ASSIGN_OR_RETURN(children[f].path,
-                           ctx()->NewSpillPath("agg_part_r"));
-    VWISE_ASSIGN_OR_RETURN(cw[f],
-                           SpillWriter::Create(children[f].path, state_types_,
-                                               &ctx()->spill_counters()));
-  }
-  // Stream the parent's state rows to the children, routing on the same
-  // group-key hash the table and the level-0 flush used. State chunks are
-  // dense; keys sit at columns [0, n_keys).
-  std::unique_ptr<SpillReader> reader;
-  VWISE_ASSIGN_OR_RETURN(reader,
-                         SpillReader::Open(part.path, state_types_,
-                                           &ctx()->spill_counters()));
-  DataChunk chunk;
-  chunk.Init(state_types_, config_.vector_size);
-  std::vector<std::vector<sel_t>> buckets(fanout);
-  uint64_t* hashes = hash_scratch_.data<uint64_t>();
-  while (true) {
-    VWISE_RETURN_IF_ERROR(ctx()->Check());
-    bool more = false;
-    VWISE_ASSIGN_OR_RETURN(more, reader->Next(&chunk));
-    if (!more) break;
-    size_t n = chunk.count();
-    std::fill(hashes, hashes + n, 0);
-    for (size_t k = 0; k < group_cols_.size(); k++) {
-      const Vector& key = chunk.column(k);
-      for (size_t i = 0; i < n; i++) {
-        hashes[i] = HashCombine(hashes[i], HashAt(key, static_cast<sel_t>(i)));
-      }
-    }
-    for (auto& rows : buckets) rows.clear();
-    for (size_t i = 0; i < n; i++) {
-      buckets[(hashes[i] >> shift) & (fanout - 1)].push_back(
-          static_cast<sel_t>(i));
-    }
-    for (size_t f = 0; f < fanout; f++) {
-      VWISE_RETURN_IF_ERROR(
-          cw[f]->AppendRows(chunk, buckets[f].data(), buckets[f].size()));
-    }
-  }
-  reader.reset();
-  cw.clear();  // close the children before the parent is unlinked
-  std::filesystem::remove(part.path, ec);
-  // Depth-first: merging (or further splitting) the fresh children first
-  // bounds live spill disk to one lineage per level.
-  pending_.insert(pending_.begin(), children.begin(), children.end());
-  return Status::OK();
-}
-
-void HashAggOperator::DropPartitions() {
-  writers_.clear();
-  for (const std::string& path : partition_paths_) {
-    std::error_code ec;
-    std::filesystem::remove(path, ec);  // best effort; ctx dir is the backstop
-  }
-  partition_paths_.clear();
-  for (const PendingPartition& part : pending_) {
-    std::error_code ec;
-    std::filesystem::remove(part.path, ec);
-  }
-  pending_.clear();
-  n_partitions_ = 0;
 }
 
 Status HashAggOperator::Next(DataChunk* out) {
@@ -902,34 +753,11 @@ Status HashAggOperator::Next(DataChunk* out) {
     consumed_ = true;
     emit_cursor_ = 0;
   }
-  if (spilled_) {
-    // Partition-at-a-time emission: when the resident table is drained,
-    // reload and merge the next pending partition (skipping empty ones). A
-    // partition whose groups alone overflow the budget is split onto the
-    // next radix level and its children retried, up to the depth bound.
-    while (emit_cursor_ >= n_groups_) {
-      if (pending_.empty()) {
-        out->SetCount(0);
-        return Status::OK();
-      }
-      PendingPartition part = std::move(pending_.front());
-      pending_.pop_front();
-      // vwise-hotpath: allow(cold-call): partition reload runs only after
-      // the aggregation degraded to disk under a memory budget
-      Status load = LoadPartition(part.path);
-      if (!load.ok()) {
-        if (load.code() != StatusCode::kResourceExhausted ||
-            part.level >= config_.spill_max_repartition_depth) {
-          return load;
-        }
-        // vwise-hotpath: allow(cold-call): budget-driven degradation path
-        VWISE_RETURN_IF_ERROR(RepartitionPartition(part));
-        continue;
-      }
-      std::error_code ec;
-      std::filesystem::remove(part.path, ec);  // merged; file no longer needed
-      emit_cursor_ = 0;
-    }
+  if (emit_cursor_ >= n_groups_ && spill_.active()) {
+    // Partition-at-a-time emission: the resident table is drained.
+    // vwise-hotpath: allow(cold-call): partition reload runs only after
+    // the aggregation degraded to disk under a memory budget
+    VWISE_RETURN_IF_ERROR(LoadNextPartition());
   }
   size_t batch = std::min(out->capacity(), n_groups_ - emit_cursor_);
   // The emit gather runs through the arena-leased index array, so cap the
@@ -991,8 +819,7 @@ void HashAggOperator::Close() {
   key_stores_.clear();
   states_.clear();
   slots_.clear();
-  DropPartitions();
-  spilled_ = false;
+  spill_.Drop();
   hash_scratch_.Release();
   group_idx_.Release();
   emit_idx_.Release();

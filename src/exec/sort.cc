@@ -7,6 +7,7 @@
 #include <system_error>
 
 #include "exec/profile.h"
+#include "exec/radix_spill.h"
 #include "storage/spill_file.h"
 
 namespace vwise {
@@ -111,10 +112,7 @@ Status SortOperator::ConsumeAndSort() {
     size_t grow = EstimateChunkBytes(chunk) + n * sizeof(uint32_t);
     Status grown = mem_.Grow(grow);
     if (!grown.ok()) {
-      if (grown.code() != StatusCode::kResourceExhausted ||
-          !config_.enable_spill) {
-        return grown;
-      }
+      if (grown.code() != StatusCode::kResourceExhausted) return grown;
       // Budget full: turn the buffered rows into a spill run, then retry.
       // A second failure means even one chunk exceeds the budget — spilling
       // cannot make progress, so surface the original error.
@@ -126,23 +124,7 @@ Status SortOperator::ConsumeAndSort() {
     for (size_t c = 0; c < chunk.num_columns(); c++) {
       data_[c].AppendFrom(chunk.column(c), sel, n);
     }
-    // Global memory pressure: queued queries are waiting on the governor's
-    // ledger. Flush the buffered rows early (once they are worth a run) so
-    // the reservation shrinks and waiters can admit.
-    if (config_.enable_spill &&
-        buffered_bytes_ >= config_.pressure_spill_min_bytes &&
-        ctx()->MemoryPressure()) {
-      VWISE_RETURN_IF_ERROR(SpillRun());
-      ctx()->NotePressureSpill();
-      continue;
-    }
-    // Coexistence cap: with several pipeline breakers sharing one budget, a
-    // breaker that grows until its own Grow fails saturates the budget and
-    // starves the upstream breaker's partition reloads (which cannot wait
-    // for this operator to flush). Cap the standing buffer at half the
-    // budget so stacked breakers always leave headroom for each other.
-    if (config_.enable_spill && ctx()->memory_budget() > 0 &&
-        mem_.bytes() > ctx()->memory_budget() / 2) {
+    if (ShouldSpill(ctx(), config_, mem_.bytes())) {
       VWISE_RETURN_IF_ERROR(SpillRun());
     }
   }

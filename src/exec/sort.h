@@ -20,8 +20,8 @@ struct SortKey {
 // a multi-key comparator, and emits gathered chunks. With a limit, only the
 // top offset+limit rows are ordered (partial sort — the TopN of X100 plans).
 //
-// When the materialization overruns the query's memory budget (and
-// Config::enable_spill is on), the operator degrades to an external sort:
+// When the materialization overruns the query's memory budget (or
+// ShouldSpill fires), the operator degrades to an external sort:
 // the rows buffered so far are sorted and written to a spill run (pruned to
 // the top offset+limit when a limit is set — rows past a run's own top-K can
 // never reach the global top-K), the buffer is released, and consumption

@@ -443,10 +443,10 @@ TEST_F(SpillTest, JoinRepartitionsOversizedPartitionBeyondDepth2) {
   ctx.set_spill_dir(SpillBase());
   Result<QueryResult> r = CollectRows(op.get(), &ctx, cfg.vector_size);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_GE(join->spill_repartition_depth(), 2u)
-      << "budget fit after " << join->spill_repartitions()
+  EXPECT_GE(join->spill_stats().depth, 2u)
+      << "budget fit after " << join->spill_stats().repartitions
       << " repartitions — tighten it";
-  EXPECT_GE(join->spill_repartitions(), 2u);
+  EXPECT_GE(join->spill_stats().repartitions, 2u);
   SortRowsByFirstCol(&base->rows);
   SortRowsByFirstCol(&r->rows);
   ASSERT_EQ(base->rows.size(), r->rows.size());
@@ -487,8 +487,8 @@ TEST_F(SpillTest, AggRepartitionsOversizedPartitionBeyondDepth2) {
   ctx.set_spill_dir(SpillBase());
   Result<QueryResult> r = CollectRows(op.get(), &ctx, cfg.vector_size);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_GE(agg->spill_repartition_depth(), 2u)
-      << "budget fit after " << agg->spill_repartitions()
+  EXPECT_GE(agg->spill_stats().depth, 2u)
+      << "budget fit after " << agg->spill_stats().repartitions
       << " repartitions — tighten it";
   SortRowsByFirstCol(&base->rows);
   SortRowsByFirstCol(&r->rows);
@@ -534,90 +534,43 @@ TEST_F(SpillTest, DuplicateKeyFloodExhaustsDepthBoundCleanly) {
   ASSERT_FALSE(r.ok()) << "a 4000^2-row one-key join fit in 8KB?";
   EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted)
       << r.status().ToString();
-  EXPECT_EQ(join.spill_repartition_depth(), 2u);  // bound reached, then fail
+  EXPECT_EQ(join.spill_stats().depth, 2u);  // bound reached, then fail
   join.Close();
   EXPECT_EQ(ctx.reserved_bytes(), 0u);
   EXPECT_EQ(CountSpillFiles(SpillBase()), 0u);
 }
 
-// --- budget exhaustion with spilling disabled --------------------------------
+// --- budget exhaustion that spilling cannot absorb ------------------------
 
-// Every breaker's Grow/Reserve site fails cleanly when spilling is off: the
-// query reports ResourceExhausted, the context drains to zero reserved
-// bytes, and the tree can be re-run within the same process.
-TEST_F(SpillTest, BudgetExhaustionSweepFailsCleanWithoutSpill) {
+// The exchange queue never spills: its Reserve fails cleanly once a budget
+// is below one chunk. The query reports ResourceExhausted, the context
+// drains to zero reserved bytes, and the tree can be re-run within the same
+// process.
+TEST_F(SpillTest, XchgQueueBudgetExhaustionFailsClean) {
   Config cfg = config_;
-  cfg.enable_spill = false;
   auto snap_l = db_->Internals().tm->GetSnapshot("l");
   ASSERT_TRUE(snap_l.ok());
-  auto snap_o = db_->Internals().tm->GetSnapshot("o");
-  ASSERT_TRUE(snap_o.ok());
-
-  struct Case {
-    const char* name;
-    size_t budget;
-    std::function<OperatorPtr()> make;
+  auto factory = [snap = *snap_l, cfg](int, int) -> Result<OperatorPtr> {
+    return OperatorPtr(std::make_unique<ScanOperator>(
+        snap, std::vector<uint32_t>{0}, cfg));
   };
-  const Case cases[] = {
-      {"join build", 2048,
-       [&]() -> OperatorPtr {
-         HashJoinOperator::Spec spec;
-         spec.probe_keys = {0};
-         spec.build_keys = {0};
-         spec.build_payload = {1};
-         return std::make_unique<HashJoinOperator>(
-             std::make_unique<ScanOperator>(*snap_o,
-                                            std::vector<uint32_t>{0}, cfg),
-             std::make_unique<ScanOperator>(
-                 *snap_l, std::vector<uint32_t>{0, 2}, cfg),
-             std::move(spec), cfg);
-       }},
-      {"agg groups", 2048,
-       [&]() -> OperatorPtr {
-         return std::make_unique<HashAggOperator>(
-             std::make_unique<ScanOperator>(*snap_l,
-                                            std::vector<uint32_t>{0, 2}, cfg),
-             std::vector<size_t>{0},
-             std::vector<AggSpec>{AggSpec::Sum(1)}, cfg);
-       }},
-      {"sort buffer", 2048,
-       [&]() -> OperatorPtr {
-         return std::make_unique<SortOperator>(
-             std::make_unique<ScanOperator>(*snap_l,
-                                            std::vector<uint32_t>{0, 2}, cfg),
-             std::vector<SortKey>{SortKey{0, false}}, cfg);
-       }},
-      // Below one chunk's footprint: the very first PushChunk reservation
-      // fails regardless of how fast the consumer drains the queue.
-      {"xchg queue", 256,
-       [&]() -> OperatorPtr {
-         auto factory = [snap = *snap_l, cfg](int, int) -> Result<OperatorPtr> {
-           return OperatorPtr(std::make_unique<ScanOperator>(
-               snap, std::vector<uint32_t>{0}, cfg));
-         };
-         return std::make_unique<XchgOperator>(
-             factory, 2, std::vector<TypeId>{TypeId::kI64}, cfg);
-       }},
-  };
-  for (const Case& c : cases) {
-    SCOPED_TRACE(c.name);
-    QueryContext ctx;
-    ctx.set_memory_budget(c.budget);
-    ctx.set_spill_dir(SpillBase());
-    OperatorPtr op = c.make();
-    Result<QueryResult> r = CollectRows(op.get(), &ctx, cfg.vector_size);
-    ASSERT_FALSE(r.ok()) << c.name << " finished under a tiny budget";
-    EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted)
-        << r.status().ToString();
-    EXPECT_EQ(ctx.reserved_bytes(), 0u)
-        << c.name << " leaked reservation on unwind";
-    // Spilling was off: nothing may have touched disk.
-    EXPECT_EQ(ctx.spill_counters().bytes_written.load(), 0u);
-    // The same tree runs to completion once the budget pressure is gone.
-    QueryContext roomy;
-    Result<QueryResult> ok = CollectRows(op.get(), &roomy, cfg.vector_size);
-    EXPECT_TRUE(ok.ok()) << c.name << ": " << ok.status().ToString();
-  }
+  XchgOperator xchg(factory, 2, std::vector<TypeId>{TypeId::kI64}, cfg);
+  QueryContext ctx;
+  // Below one chunk's footprint: the very first PushChunk reservation fails
+  // regardless of how fast the consumer drains the queue.
+  ctx.set_memory_budget(256);
+  ctx.set_spill_dir(SpillBase());
+  Result<QueryResult> tight = CollectRows(&xchg, &ctx, cfg.vector_size);
+  ASSERT_FALSE(tight.ok()) << "xchg queue finished under a tiny budget";
+  EXPECT_EQ(tight.status().code(), StatusCode::kResourceExhausted)
+      << tight.status().ToString();
+  EXPECT_EQ(ctx.reserved_bytes(), 0u) << "leaked reservation on unwind";
+  // The queue never spills: nothing may have touched disk.
+  EXPECT_EQ(ctx.spill_counters().bytes_written.load(), 0u);
+  // The same tree runs to completion once the budget pressure is gone.
+  QueryContext roomy;
+  Result<QueryResult> ok = CollectRows(&xchg, &roomy, cfg.vector_size);
+  EXPECT_TRUE(ok.ok()) << ok.status().ToString();
   // A budget-failed query never poisons its session either.
   auto session = db_->Connect();
   PlanBuilder q = session->NewPlan();
@@ -628,24 +581,48 @@ TEST_F(SpillTest, BudgetExhaustionSweepFailsCleanWithoutSpill) {
   EXPECT_EQ(r->rows.size(), static_cast<size_t>(kLRows));
 }
 
-// Even with spilling ON, a budget too small for a single partition /
-// vector's worth of state must fail with ResourceExhausted — and still
-// unwind clean, deleting whatever scratch it had created.
+// Spilling cannot help a budget too small for a single vector's worth of
+// sort input or a single aggregation group: the query must fail with
+// ResourceExhausted — and still unwind clean, deleting whatever scratch it
+// had created.
 TEST_F(SpillTest, ImpossiblyTightBudgetFailsCleanEvenWithSpill) {
-  QueryContext ctx;
-  ctx.set_memory_budget(256);  // below one chunk of sort input
-  ctx.set_spill_dir(SpillBase());
   auto snap = db_->Internals().tm->GetSnapshot("l");
   ASSERT_TRUE(snap.ok());
-  SortOperator sort(std::make_unique<ScanOperator>(
-                        *snap, std::vector<uint32_t>{0, 1}, config_),
-                    {SortKey{0, true}}, config_);
-  Result<QueryResult> r = CollectRows(&sort, &ctx, config_.vector_size);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted)
-      << r.status().ToString();
-  EXPECT_EQ(ctx.reserved_bytes(), 0u);
-  EXPECT_EQ(CountSpillFiles(SpillBase()), 0u);
+  struct Case {
+    const char* name;
+    size_t budget;
+    std::function<OperatorPtr()> make;
+  };
+  const Case cases[] = {
+      {"sort", 256,  // below one chunk of sort input
+       [&]() -> OperatorPtr {
+         return std::make_unique<SortOperator>(
+             std::make_unique<ScanOperator>(
+                 *snap, std::vector<uint32_t>{0, 1}, config_),
+             std::vector<SortKey>{SortKey{0, true}}, config_);
+       }},
+      {"agg", 32,  // below one group: key + sum state + hash + slot
+       [&]() -> OperatorPtr {
+         return std::make_unique<HashAggOperator>(
+             std::make_unique<ScanOperator>(
+                 *snap, std::vector<uint32_t>{0, 2}, config_),
+             std::vector<size_t>{0}, std::vector<AggSpec>{AggSpec::Sum(1)},
+             config_);
+       }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    QueryContext ctx;
+    ctx.set_memory_budget(c.budget);
+    ctx.set_spill_dir(SpillBase());
+    OperatorPtr op = c.make();
+    Result<QueryResult> r = CollectRows(op.get(), &ctx, config_.vector_size);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted)
+        << r.status().ToString();
+    EXPECT_EQ(ctx.reserved_bytes(), 0u);
+    EXPECT_EQ(CountSpillFiles(SpillBase()), 0u);
+  }
 }
 
 // --- spill file format + failpoints ------------------------------------------
@@ -855,29 +832,73 @@ TEST_F(SpillTest, CrashMidSpillIsSweptOnReopen) {
   EXPECT_EQ(r->rows.size(), static_cast<size_t>(kLRows));
 }
 
-// Cancellation mid-spill unwinds through Close and leaves no scratch.
+// Cancellation mid-spill unwinds through Close and leaves no scratch, for
+// every spilling breaker: the sort between merge steps, the aggregation and
+// the join while loading a spilled partition (whose files must go too).
 TEST_F(SpillTest, CancelMidSpillLeavesNoScratch) {
-  auto snap = db_->Internals().tm->GetSnapshot("l");
-  ASSERT_TRUE(snap.ok());
-  QueryContext ctx;
-  ctx.set_memory_budget(24 << 10);
-  ctx.set_spill_dir(SpillBase());
-  SortOperator sort(std::make_unique<ScanOperator>(
-                        *snap, std::vector<uint32_t>{0, 1}, config_),
-                    {SortKey{0, true}}, config_);
-  ASSERT_TRUE(sort.Open(&ctx).ok());
-  DataChunk out;
-  out.Init(sort.OutputTypes(), config_.vector_size);
-  // First Next() consumes the input and spills runs; cancel right after it.
-  ASSERT_TRUE(sort.Next(&out).ok());
-  EXPECT_GT(sort.spill_runs(), 0u);
-  ctx.Cancel();
-  Status s = sort.Next(&out);
-  ASSERT_FALSE(s.ok());
-  EXPECT_TRUE(s.IsCancelled()) << s.ToString();
-  sort.Close();
-  EXPECT_EQ(ctx.reserved_bytes(), 0u);
-  EXPECT_EQ(CountSpillFiles(SpillBase()), 0u);
+  auto snap_l = db_->Internals().tm->GetSnapshot("l");
+  ASSERT_TRUE(snap_l.ok());
+  auto snap_o = db_->Internals().tm->GetSnapshot("o");
+  ASSERT_TRUE(snap_o.ok());
+  struct Case {
+    const char* name;
+    std::function<OperatorPtr()> make;
+  };
+  const Case cases[] = {
+      {"sort",
+       [&]() -> OperatorPtr {
+         return std::make_unique<SortOperator>(
+             std::make_unique<ScanOperator>(
+                 *snap_l, std::vector<uint32_t>{0, 1}, config_),
+             std::vector<SortKey>{SortKey{0, true}}, config_);
+       }},
+      {"agg",
+       [&]() -> OperatorPtr {
+         return std::make_unique<HashAggOperator>(
+             std::make_unique<ScanOperator>(
+                 *snap_l, std::vector<uint32_t>{0, 2}, config_),
+             std::vector<size_t>{0}, std::vector<AggSpec>{AggSpec::Sum(1)},
+             config_);
+       }},
+      {"join",
+       [&]() -> OperatorPtr {
+         HashJoinOperator::Spec spec;
+         spec.probe_keys = {0};
+         spec.build_keys = {0};
+         spec.build_payload = {1, 2};
+         return std::make_unique<HashJoinOperator>(
+             std::make_unique<ScanOperator>(
+                 *snap_o, std::vector<uint32_t>{0, 1}, config_),
+             std::make_unique<ScanOperator>(
+                 *snap_l, std::vector<uint32_t>{0, 1, 3}, config_),
+             std::move(spec), config_);
+       }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    QueryContext ctx;
+    ctx.set_memory_budget(24 << 10);
+    ctx.set_spill_dir(SpillBase());
+    OperatorPtr op = c.make();
+    ASSERT_TRUE(op->Open(&ctx).ok());
+    DataChunk out;
+    out.Init(op->OutputTypes(), config_.vector_size);
+    // The first Next() consumes the input and spills; cancel right after it
+    // and drain until the cancellation surfaces.
+    ASSERT_TRUE(op->Next(&out).ok());
+    EXPECT_GT(ctx.spill_counters().bytes_written.load(), 0u);
+    ctx.Cancel();
+    Status s;
+    do {
+      out.Reset();
+      s = op->Next(&out);
+    } while (s.ok() && out.ActiveCount() > 0);
+    ASSERT_FALSE(s.ok());
+    EXPECT_TRUE(s.IsCancelled()) << s.ToString();
+    op->Close();
+    EXPECT_EQ(ctx.reserved_bytes(), 0u);
+    EXPECT_EQ(CountSpillFiles(SpillBase()), 0u);
+  }
 }
 
 TEST_F(SpillTest, VwiseSpillDirEnvOverridesDefault) {
