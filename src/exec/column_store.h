@@ -3,6 +3,7 @@
 
 #include <cstring>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "common/macros.h"
@@ -50,7 +51,11 @@ class ColumnStore {
 
   template <typename T>
   const T* Data() const {
-    return reinterpret_cast<const T*>(fixed_.data());
+    if constexpr (std::is_same_v<T, StringVal>) {
+      return strs_.data();
+    } else {
+      return reinterpret_cast<const T*>(fixed_.data());
+    }
   }
   const StringVal* Strs() const { return strs_.data(); }
 
@@ -62,34 +67,13 @@ class ColumnStore {
   // Gathers rows `idx[0..n)` into `out` (capacity >= n), attaching the owned
   // heap for strings.
   void Gather(const uint32_t* idx, size_t n, Vector* out) const {
-    switch (type_) {
-      case TypeId::kU8: {
-        uint8_t* d = out->Data<uint8_t>();
-        for (size_t i = 0; i < n; i++) d[i] = Data<uint8_t>()[idx[i]];
-        break;
-      }
-      case TypeId::kI32: {
-        int32_t* d = out->Data<int32_t>();
-        for (size_t i = 0; i < n; i++) d[i] = Data<int32_t>()[idx[i]];
-        break;
-      }
-      case TypeId::kI64: {
-        int64_t* d = out->Data<int64_t>();
-        for (size_t i = 0; i < n; i++) d[i] = Data<int64_t>()[idx[i]];
-        break;
-      }
-      case TypeId::kF64: {
-        double* d = out->Data<double>();
-        for (size_t i = 0; i < n; i++) d[i] = Data<double>()[idx[i]];
-        break;
-      }
-      case TypeId::kStr: {
-        StringVal* d = out->Data<StringVal>();
-        for (size_t i = 0; i < n; i++) d[i] = strs_[idx[i]];
-        if (heap_) out->AddStringHeapRef(heap_);
-        break;
-      }
-    }
+    VisitType(type_, [&](auto tag) {
+      using T = decltype(tag);
+      const T* src = Data<T>();
+      T* dst = out->Data<T>();
+      for (size_t i = 0; i < n; i++) dst[i] = src[idx[i]];
+    });
+    if (heap_) out->AddStringHeapRef(heap_);
   }
 
   const std::shared_ptr<StringHeap>& heap() const { return heap_; }

@@ -5,7 +5,7 @@
 #include <limits>
 
 #include "common/bitutil.h"
-#include "common/hash.h"
+#include "exec/key_hash.h"
 #include "exec/profile.h"
 
 namespace vwise {
@@ -13,41 +13,6 @@ namespace vwise {
 namespace {
 
 constexpr uint32_t kEmptySlot = 0xffffffffu;
-
-uint64_t HashAt(const Vector& vec, sel_t pos) {
-  switch (vec.type()) {
-    case TypeId::kU8:
-      return HashInt(vec.Data<uint8_t>()[pos]);
-    case TypeId::kI32:
-      return HashInt(static_cast<uint64_t>(vec.Data<int32_t>()[pos]));
-    case TypeId::kI64:
-      return HashInt(static_cast<uint64_t>(vec.Data<int64_t>()[pos]));
-    case TypeId::kF64:
-      return HashInt(static_cast<uint64_t>(vec.Data<double>()[pos]));
-    case TypeId::kStr: {
-      const StringVal& s = vec.Data<StringVal>()[pos];
-      return HashBytes(s.ptr, s.len);
-    }
-  }
-  return 0;
-}
-
-bool KeyEquals(const Vector& vec, sel_t pos, const ColumnStore& store,
-               size_t group) {
-  switch (vec.type()) {
-    case TypeId::kU8:
-      return vec.Data<uint8_t>()[pos] == store.Get<uint8_t>(group);
-    case TypeId::kI32:
-      return vec.Data<int32_t>()[pos] == store.Get<int32_t>(group);
-    case TypeId::kI64:
-      return vec.Data<int64_t>()[pos] == store.Get<int64_t>(group);
-    case TypeId::kF64:
-      return vec.Data<double>()[pos] == store.Get<double>(group);
-    case TypeId::kStr:
-      return vec.Data<StringVal>()[pos] == store.Strs()[group];
-  }
-  return false;
-}
 
 // Numeric value of column `vec` at `pos` widened to double / int64.
 double F64At(const Vector& vec, sel_t pos) {
@@ -84,6 +49,37 @@ int64_t I64At(const Vector& vec, sel_t pos) {
 
 bool IntFamily(TypeId t) {
   return t == TypeId::kU8 || t == TypeId::kI32 || t == TypeId::kI64;
+}
+
+// State of one aggregate over input type `in`: the value lane's type, whether
+// it has a count lane, and the output column's type. Sums keep integer
+// inputs in i64 and widen the rest to f64; min/max keep f64 in f64 and other
+// inputs in i64, emitting i32 inputs as i32; counts are i64; avg is an f64
+// sum over a count.
+struct AggLane {
+  bool is_i64;
+  bool has_count;
+  TypeId out_type;
+};
+
+AggLane LaneOf(AggSpec::Fn fn, TypeId in) {
+  switch (fn) {
+    case AggSpec::Fn::kSum:
+      return {IntFamily(in), false,
+              IntFamily(in) ? TypeId::kI64 : TypeId::kF64};
+    case AggSpec::Fn::kMin:
+    case AggSpec::Fn::kMax:
+      return {in != TypeId::kF64, true,
+              in == TypeId::kF64   ? TypeId::kF64
+              : in == TypeId::kI32 ? TypeId::kI32
+                                   : TypeId::kI64};
+    case AggSpec::Fn::kCount:
+    case AggSpec::Fn::kCountStar:
+      return {true, false, TypeId::kI64};
+    case AggSpec::Fn::kAvg:
+      return {false, true, TypeId::kF64};
+  }
+  return {true, false, TypeId::kI64};
 }
 
 // Run-value readers over an RLE vector (compressed execution): the global-
@@ -131,31 +127,23 @@ HashAggOperator::HashAggOperator(OperatorPtr child,
       group_cols_(std::move(group_cols)),
       aggs_(std::move(aggs)),
       config_(config),
-      spill_(config_, 1, [this](size_t, const DataChunk& chunk,
-                                uint64_t* hashes) {
-        HashStateKeys(chunk, hashes);
-      }) {
+      spill_(config_, 1) {
   const auto& in_types = child_->OutputTypes();
-  for (size_t c : group_cols_) out_types_.push_back(in_types[c]);
+  // A spill state row holds the key columns, then each aggregate's lanes.
+  for (size_t c : group_cols_) {
+    identity_cols_.push_back(state_types_.size());
+    state_types_.push_back(in_types[c]);
+    out_types_.push_back(in_types[c]);
+  }
   for (const AggSpec& a : aggs_) {
-    switch (a.fn) {
-      case AggSpec::Fn::kSum:
-        out_types_.push_back(IntFamily(in_types[a.col]) ? TypeId::kI64
-                                                        : TypeId::kF64);
-        break;
-      case AggSpec::Fn::kMin:
-      case AggSpec::Fn::kMax:
-        out_types_.push_back(in_types[a.col] == TypeId::kF64 ? TypeId::kF64
-                             : in_types[a.col] == TypeId::kI32 ? TypeId::kI32
-                                                               : TypeId::kI64);
-        break;
-      case AggSpec::Fn::kCount:
-      case AggSpec::Fn::kCountStar:
-        out_types_.push_back(TypeId::kI64);
-        break;
-      case AggSpec::Fn::kAvg:
-        out_types_.push_back(TypeId::kF64);
-        break;
+    AggLane lane = LaneOf(
+        a.fn, a.fn == AggSpec::Fn::kCountStar ? TypeId::kI64 : in_types[a.col]);
+    out_types_.push_back(lane.out_type);
+    layout_.push_back({lane.is_i64, state_types_.size(), SIZE_MAX});
+    state_types_.push_back(lane.is_i64 ? TypeId::kI64 : TypeId::kF64);
+    if (lane.has_count) {
+      layout_.back().count_col = state_types_.size();
+      state_types_.push_back(TypeId::kI64);
     }
   }
 }
@@ -179,10 +167,6 @@ Status HashAggOperator::OpenImpl() {
   }
   per_group_bytes_ += aggs_.size() * 24;
   states_.assign(aggs_.size(), AggState{});
-  for (size_t i = 0; i < aggs_.size(); i++) {
-    states_[i].in_type =
-        aggs_[i].fn == AggSpec::Fn::kCountStar ? TypeId::kI64 : in_types[aggs_[i].col];
-  }
   // Reset the group count and hashes from a previous execution of a prepared
   // plan BEFORE rebuilding the slot table: ResizeTable re-inserts the first
   // n_groups_ entries of group_hashes_, so stale values would repopulate the
@@ -210,77 +194,47 @@ void HashAggOperator::ResizeTable(size_t buckets) {
   }
 }
 
-uint32_t HashAggOperator::FindOrCreateGroup(const DataChunk& chunk, sel_t pos,
-                                            uint64_t hash,
-                                            const size_t* key_cols) {
+uint32_t HashAggOperator::FindOrCreateGroup(
+    const DataChunk& chunk, sel_t pos, uint64_t hash,
+    const std::vector<size_t>& key_cols) {
   uint64_t s = hash & slot_mask_;
   while (true) {
     uint32_t g = slots_[s];
     if (g == kEmptySlot) break;
-    if (group_hashes_[g] == hash) {
-      bool equal = true;
-      for (size_t k = 0; k < group_cols_.size(); k++) {
-        if (!KeyEquals(chunk.column(key_cols[k]), pos, key_stores_[k], g)) {
-          equal = false;
-          break;
-        }
-      }
-      if (equal) return g;
+    if (group_hashes_[g] == hash &&
+        KeysEqual(chunk, key_cols, pos, key_stores_, g)) {
+      return g;
     }
     s = (s + 1) & slot_mask_;
   }
   // New group.
-  uint32_t g = static_cast<uint32_t>(n_groups_++);
+  uint32_t g = static_cast<uint32_t>(n_groups_);
   slots_[s] = g;
-  // vwise-hotpath: allow(alloc): group-state growth happens once per new
-  // group (warm-up); a stabilized group set never re-enters this tail
-  group_hashes_.push_back(hash);
   for (size_t k = 0; k < group_cols_.size(); k++) {
     // vwise-hotpath: allow(cold-call): per-new-group key copy, warm-up only
     key_stores_[k].AppendOne(chunk.column(key_cols[k]), pos);
   }
-  for (size_t i = 0; i < aggs_.size(); i++) {
-    AggState& st = states_[i];
-    switch (aggs_[i].fn) {
-      case AggSpec::Fn::kSum:
-        if (IntFamily(st.in_type)) {
-          // vwise-hotpath: allow(alloc): per-new-group state, warm-up only
-          st.i64.push_back(0);
-        } else {
-          // vwise-hotpath: allow(alloc): per-new-group state, warm-up only
-          st.f64.push_back(0);
-        }
-        break;
-      case AggSpec::Fn::kMin:
-      case AggSpec::Fn::kMax:
-        if (st.in_type == TypeId::kF64) {
-          // vwise-hotpath: allow(alloc): per-new-group state, warm-up only
-          st.f64.push_back(0);
-        } else {
-          // vwise-hotpath: allow(alloc): per-new-group state, warm-up only
-          st.i64.push_back(0);
-        }
-        // vwise-hotpath: allow(alloc): per-new-group state, warm-up only
-        st.count.push_back(0);  // first-touch marker
-        break;
-      case AggSpec::Fn::kCount:
-      case AggSpec::Fn::kCountStar:
-        // vwise-hotpath: allow(alloc): per-new-group state, warm-up only
-        st.i64.push_back(0);
-        break;
-      case AggSpec::Fn::kAvg:
-        // vwise-hotpath: allow(alloc): per-new-group state, warm-up only
-        st.f64.push_back(0);
-        // vwise-hotpath: allow(alloc): per-new-group state, warm-up only
-        st.count.push_back(0);
-        break;
-    }
-  }
+  // vwise-hotpath: allow(cold-call): per-new-group state, warm-up only
+  AppendGroup(hash);
   if (n_groups_ * 10 > slots_.size() * 7) {
     // vwise-hotpath: allow(cold-call): table doubling, amortized O(1)
     ResizeTable(slots_.size() * 2);
   }
   return g;
+}
+
+void HashAggOperator::AppendGroup(uint64_t hash) {
+  group_hashes_.push_back(hash);
+  for (size_t a = 0; a < aggs_.size(); a++) {
+    AggState& st = states_[a];
+    if (layout_[a].is_i64) {
+      st.i64.push_back(0);
+    } else {
+      st.f64.push_back(0);
+    }
+    if (layout_[a].count_col != SIZE_MAX) st.count.push_back(0);
+  }
+  n_groups_++;
 }
 
 // VWISE_HOT: the per-chunk aggregation core — hashed, resolved and updated
@@ -315,23 +269,17 @@ VWISE_HOT Status HashAggOperator::ProcessChunk(DataChunk& chunk) {
   uint64_t* hashes = hash_scratch_.data<uint64_t>();
   uint32_t* groups = group_idx_.data<uint32_t>();
   // 1. Hash the group keys, a column at a time.
-  std::fill(hashes, hashes + n, 0);
-  for (size_t k = 0; k < group_cols_.size(); k++) {
-    const Vector& key = chunk.column(group_cols_[k]);
-    for (size_t i = 0; i < n; i++) {
-      sel_t pos = sel ? sel[i] : static_cast<sel_t>(i);
-      hashes[i] = HashCombine(hashes[i], HashAt(key, pos));
-    }
-  }
+  HashKeys(chunk, group_cols_, hashes);
   // 2. Resolve group indices.
   for (size_t i = 0; i < n; i++) {
     sel_t pos = sel ? sel[i] : static_cast<sel_t>(i);
-    groups[i] = FindOrCreateGroup(chunk, pos, hashes[i], group_cols_.data());
+    groups[i] = FindOrCreateGroup(chunk, pos, hashes[i], group_cols_);
   }
   // 3. Per-aggregate update loops.
   for (size_t a = 0; a < aggs_.size(); a++) {
     AggState& st = states_[a];
     const AggSpec& spec = aggs_[a];
+    bool is_i64 = layout_[a].is_i64;
     switch (spec.fn) {
       case AggSpec::Fn::kSum: {
         const Vector& in = chunk.column(spec.col);
@@ -341,7 +289,7 @@ VWISE_HOT Status HashAggOperator::ProcessChunk(DataChunk& chunk) {
           uint32_t g = groups[0];
           const uint32_t* starts = in.rle_starts();
           uint32_t m = in.rle_runs();
-          if (IntFamily(st.in_type)) {
+          if (is_i64) {
             for (uint32_t r = 0; r < m; r++) {
               st.i64[g] += RleRunI64(in, r) *
                            static_cast<int64_t>(starts[r + 1] - starts[r]);
@@ -353,7 +301,7 @@ VWISE_HOT Status HashAggOperator::ProcessChunk(DataChunk& chunk) {
           }
           break;
         }
-        if (IntFamily(st.in_type)) {
+        if (is_i64) {
           for (size_t i = 0; i < n; i++) {
             sel_t pos = sel ? sel[i] : static_cast<sel_t>(i);
             st.i64[groups[i]] += I64At(in, pos);
@@ -374,7 +322,7 @@ VWISE_HOT Status HashAggOperator::ProcessChunk(DataChunk& chunk) {
           uint32_t g = groups[0];
           uint32_t m = in.rle_runs();
           for (uint32_t r = 0; r < m; r++) {
-            if (st.in_type == TypeId::kF64) {
+            if (!is_i64) {
               double v = RleRunF64(in, r);
               if (!st.count[g] || (is_min ? v < st.f64[g] : v > st.f64[g])) {
                 st.f64[g] = v;
@@ -392,7 +340,7 @@ VWISE_HOT Status HashAggOperator::ProcessChunk(DataChunk& chunk) {
         for (size_t i = 0; i < n; i++) {
           sel_t pos = sel ? sel[i] : static_cast<sel_t>(i);
           uint32_t g = groups[i];
-          if (st.in_type == TypeId::kF64) {
+          if (!is_i64) {
             double v = F64At(in, pos);
             if (!st.count[g] || (is_min ? v < st.f64[g] : v > st.f64[g])) {
               st.f64[g] = v;
@@ -507,87 +455,14 @@ Status HashAggOperator::ConsumeInput() {
     spill_.CloseWriters();
     return Status::OK();
   }
-  // An ungrouped aggregate always emits one row, even on empty input.
+  // An ungrouped aggregate always emits one row, even on empty input: the
+  // single global group, zero-initialized, under a synthetic hash (there
+  // are no key columns to compare).
   if (group_cols_.empty() && n_groups_ == 0) {
-    DataChunk empty;
-    empty.Init(child_->OutputTypes(), 1);
-    // Materialize the single global group with zero-initialized states by
-    // touching the table with a synthetic hash (no key columns to compare).
-    group_hashes_.push_back(0);
     slots_[0] = 0;
-    n_groups_ = 1;
-    for (size_t i = 0; i < aggs_.size(); i++) {
-      AggState& st = states_[i];
-      switch (aggs_[i].fn) {
-        case AggSpec::Fn::kSum:
-          if (IntFamily(st.in_type)) {
-            st.i64.push_back(0);
-          } else {
-            st.f64.push_back(0);
-          }
-          break;
-        case AggSpec::Fn::kMin:
-        case AggSpec::Fn::kMax:
-          if (st.in_type == TypeId::kF64) {
-            st.f64.push_back(0);
-          } else {
-            st.i64.push_back(0);
-          }
-          st.count.push_back(0);
-          break;
-        case AggSpec::Fn::kCount:
-        case AggSpec::Fn::kCountStar:
-          st.i64.push_back(0);
-          break;
-        case AggSpec::Fn::kAvg:
-          st.f64.push_back(0);
-          st.count.push_back(0);
-          break;
-      }
-    }
+    AppendGroup(0);
   }
   return Status::OK();
-}
-
-void HashAggOperator::BuildStateSchema() {
-  const auto& in_types = child_->OutputTypes();
-  state_types_.clear();
-  lanes_.clear();
-  identity_cols_.clear();
-  for (size_t k = 0; k < group_cols_.size(); k++) {
-    state_types_.push_back(in_types[group_cols_[k]]);
-    identity_cols_.push_back(k);
-  }
-  for (size_t a = 0; a < aggs_.size(); a++) {
-    const AggState& st = states_[a];
-    bool is_i64 = false;
-    bool has_count = false;
-    switch (aggs_[a].fn) {
-      case AggSpec::Fn::kSum:
-        is_i64 = IntFamily(st.in_type);
-        break;
-      case AggSpec::Fn::kMin:
-      case AggSpec::Fn::kMax:
-        is_i64 = st.in_type != TypeId::kF64;
-        has_count = true;
-        break;
-      case AggSpec::Fn::kCount:
-      case AggSpec::Fn::kCountStar:
-        is_i64 = true;
-        break;
-      case AggSpec::Fn::kAvg:
-        is_i64 = false;
-        has_count = true;
-        break;
-    }
-    StateLane lane{state_types_.size(), SIZE_MAX, is_i64};
-    state_types_.push_back(is_i64 ? TypeId::kI64 : TypeId::kF64);
-    if (has_count) {
-      lane.count_col = state_types_.size();
-      state_types_.push_back(TypeId::kI64);
-    }
-    lanes_.push_back(lane);
-  }
 }
 
 void HashAggOperator::ClearTable() {
@@ -610,8 +485,8 @@ void HashAggOperator::ClearTable() {
 Status HashAggOperator::SpillGroups() {
   if (n_groups_ == 0) return Status::OK();
   if (!spill_.active()) {
-    BuildStateSchema();
-    VWISE_RETURN_IF_ERROR(spill_.OpenSide(0, "agg_part", state_types_));
+    VWISE_RETURN_IF_ERROR(
+        spill_.OpenSide(0, "agg_part", state_types_, identity_cols_));
   }
   VWISE_RETURN_IF_ERROR(spill_.Flush(
       0, n_groups_, [this](uint32_t g) { return group_hashes_[g]; },
@@ -621,7 +496,7 @@ Status HashAggOperator::SpillGroups() {
         }
         for (size_t a = 0; a < aggs_.size(); a++) {
           const AggState& st = states_[a];
-          const StateLane& lane = lanes_[a];
+          const AggLayout& lane = layout_[a];
           Vector& value = out->column(lane.value_col);
           for (size_t j = 0; j < n; j++) {
             uint32_t g = ids[j];
@@ -640,32 +515,20 @@ Status HashAggOperator::SpillGroups() {
   return Status::OK();
 }
 
-void HashAggOperator::HashStateKeys(const DataChunk& chunk,
-                                    uint64_t* hashes) const {
-  size_t n = chunk.count();
-  std::fill(hashes, hashes + n, 0);
-  for (size_t k = 0; k < group_cols_.size(); k++) {
-    const Vector& key = chunk.column(k);
-    for (size_t i = 0; i < n; i++) {
-      hashes[i] = HashCombine(hashes[i], HashAt(key, static_cast<sel_t>(i)));
-    }
-  }
-}
-
 Status HashAggOperator::ProcessStateChunk(const DataChunk& chunk) {
   size_t n = chunk.count();  // state chunks are dense
   uint64_t* hashes = hash_scratch_.data<uint64_t>();
   uint32_t* groups = group_idx_.data<uint32_t>();
-  HashStateKeys(chunk, hashes);
+  HashKeys(chunk, identity_cols_, hashes);
   for (size_t i = 0; i < n; i++) {
     groups[i] = FindOrCreateGroup(chunk, static_cast<sel_t>(i), hashes[i],
-                                  identity_cols_.data());
+                                  identity_cols_);
   }
   // Merge the partial states: sums/counts add, min/max compare (their count
   // lane is the first-touch marker), avg adds both lanes.
   for (size_t a = 0; a < aggs_.size(); a++) {
     AggState& st = states_[a];
-    const StateLane& lane = lanes_[a];
+    const AggLayout& lane = layout_[a];
     const Vector& value = chunk.column(lane.value_col);
     switch (aggs_[a].fn) {
       case AggSpec::Fn::kSum:
@@ -775,35 +638,21 @@ Status HashAggOperator::Next(DataChunk* out) {
   for (size_t a = 0; a < aggs_.size(); a++) {
     Vector& dst = out->column(group_cols_.size() + a);
     const AggState& st = states_[a];
-    for (size_t i = 0; i < batch; i++) {
-      size_t g = emit_cursor_ + i;
-      switch (aggs_[a].fn) {
-        case AggSpec::Fn::kSum:
-          if (IntFamily(st.in_type)) {
-            dst.Data<int64_t>()[i] = st.i64[g];
-          } else {
-            dst.Data<double>()[i] = st.f64[g];
-          }
-          break;
-        case AggSpec::Fn::kMin:
-        case AggSpec::Fn::kMax:
-          if (st.in_type == TypeId::kF64) {
-            dst.Data<double>()[i] = st.f64[g];
-          } else if (dst.type() == TypeId::kI32) {
-            dst.Data<int32_t>()[i] = static_cast<int32_t>(st.i64[g]);
-          } else {
-            dst.Data<int64_t>()[i] = st.i64[g];
-          }
-          break;
-        case AggSpec::Fn::kCount:
-        case AggSpec::Fn::kCountStar:
-          dst.Data<int64_t>()[i] = st.i64[g];
-          break;
-        case AggSpec::Fn::kAvg:
-          dst.Data<double>()[i] =
-              st.count[g] == 0 ? 0.0 : st.f64[g] / static_cast<double>(st.count[g]);
-          break;
+    const size_t g = emit_cursor_;
+    if (aggs_[a].fn == AggSpec::Fn::kAvg) {
+      for (size_t i = 0; i < batch; i++) {
+        int64_t count = st.count[g + i];
+        dst.Data<double>()[i] =
+            count == 0 ? 0.0 : st.f64[g + i] / static_cast<double>(count);
       }
+    } else if (!layout_[a].is_i64) {
+      for (size_t i = 0; i < batch; i++) dst.Data<double>()[i] = st.f64[g + i];
+    } else if (dst.type() == TypeId::kI32) {  // min/max of an i32 input
+      for (size_t i = 0; i < batch; i++) {
+        dst.Data<int32_t>()[i] = static_cast<int32_t>(st.i64[g + i]);
+      }
+    } else {
+      for (size_t i = 0; i < batch; i++) dst.Data<int64_t>()[i] = st.i64[g + i];
     }
   }
   out->SetCount(batch);

@@ -33,13 +33,19 @@ struct AggSpec {
 // physical type for i64, widens to f64 otherwise; count is i64; avg is f64;
 // min/max keep the input type).
 //
+// Each aggregate's state layout is fixed at construction from the input
+// types: a value lane (i64 or f64), a count lane or none, and the output
+// type. That one layout drives the output types, new-group state, the
+// spill state rows, their merge and the emitted columns.
+//
 // When the group table overruns the query's memory budget, the operator
 // degrades to radix-partitioned spilling (RadixSpill, one side): the table
 // is flushed to disk as mergeable "state rows" (keys + per-aggregate state
-// lanes), partitioned by the high bits of the group hash, and cleared; at emit time the partitions are reloaded one at a time
-// and merge-aggregated, so every partition needs only its own share of the
-// budget. Spilling changes the group output order (partition-major instead
-// of first-appearance) but not the set of rows.
+// lanes), partitioned by the high bits of the group hash, and cleared; at
+// emit time the partitions are reloaded one at a time and merge-aggregated,
+// so every partition needs only its own share of the budget. Spilling
+// changes the group output order (partition-major instead of
+// first-appearance) but not the set of rows.
 class HashAggOperator final : public Operator {
  public:
   HashAggOperator(OperatorPtr child, std::vector<size_t> group_cols,
@@ -68,10 +74,10 @@ class HashAggOperator final : public Operator {
   Status ProcessChunk(DataChunk& chunk);
   void ResizeTable(size_t buckets);
   uint32_t FindOrCreateGroup(const DataChunk& chunk, sel_t pos, uint64_t hash,
-                             const size_t* key_cols);
-  // Lays out the spill "state row" schema: key columns first, then one value
-  // lane per aggregate (i64 or f64) plus a count lane for min/max/avg.
-  void BuildStateSchema();
+                             const std::vector<size_t>& key_cols);
+  // Appends group n_groups_ with hash `hash` and zeroed aggregate states; the
+  // caller stores its key and table slot.
+  void AppendGroup(uint64_t hash);
 
   // Flushes the whole group table to the radix partitions (opening them on
   // first use) and clears it, giving its reservation back.
@@ -83,8 +89,6 @@ class HashAggOperator final : public Operator {
   Status LoadPartition();
   // Merge-aggregates a chunk of state rows (the spill-side ProcessChunk).
   Status ProcessStateChunk(const DataChunk& chunk);
-  // Key hash of every row of a (dense) state chunk; the RadixSpill::Hasher.
-  void HashStateKeys(const DataChunk& chunk, uint64_t* hashes) const;
   // Resets the group table (and the emit cursor into it) and returns its
   // budget reservation.
   void ClearTable();
@@ -102,12 +106,22 @@ class HashAggOperator final : public Operator {
   uint64_t slot_mask_ = 0;
   size_t n_groups_ = 0;
 
-  // Aggregate states, one entry per group.
+  // Per-aggregate state layout and its columns in a spill state row (the
+  // key columns first, then each aggregate's lanes).
+  struct AggLayout {
+    bool is_i64;       // value lane type: i64, else f64
+    size_t value_col;  // state-row column of the value lane
+    size_t count_col;  // count lane (min/max first touch, avg), or SIZE_MAX
+  };
+  std::vector<AggLayout> layout_;
+  std::vector<TypeId> state_types_;
+  std::vector<size_t> identity_cols_;  // 0..n_keys-1: key cols of a state row
+
+  // Aggregate states, one entry per group in the lanes layout_ names.
   struct AggState {
-    TypeId in_type;      // physical type of the input column
     std::vector<int64_t> i64;
     std::vector<double> f64;
-    std::vector<int64_t> count;  // avg / first-touch tracking for min/max
+    std::vector<int64_t> count;
   };
   std::vector<AggState> states_;
 
@@ -128,14 +142,6 @@ class HashAggOperator final : public Operator {
   size_t reserved_groups_ = 0;
 
   // Radix spilling; inactive unless the budget forced a flush.
-  struct StateLane {
-    size_t value_col;  // state-row column of the value lane
-    size_t count_col;  // count lane (min/max/avg), SIZE_MAX otherwise
-    bool is_i64;       // physical type of the value lane
-  };
-  std::vector<TypeId> state_types_;
-  std::vector<StateLane> lanes_;
-  std::vector<size_t> identity_cols_;  // 0..n_keys-1: key cols of a state row
   RadixSpill spill_;
 };
 

@@ -4,7 +4,7 @@
 #include <cstring>
 
 #include "common/bitutil.h"
-#include "common/hash.h"
+#include "exec/key_hash.h"
 #include "exec/profile.h"
 #include "expr/primitives.h"
 #include "storage/spill_file.h"
@@ -15,105 +15,19 @@ namespace {
 
 constexpr uint32_t kNoRow = 0xffffffffu;  // unmatched-probe sentinel
 
-uint64_t HashVectorValue(const Vector& vec, sel_t pos) {
-  switch (vec.type()) {
-    case TypeId::kU8:
-      return HashInt(vec.Data<uint8_t>()[pos]);
-    case TypeId::kI32:
-      return HashInt(static_cast<uint64_t>(vec.Data<int32_t>()[pos]));
-    case TypeId::kI64:
-      return HashInt(static_cast<uint64_t>(vec.Data<int64_t>()[pos]));
-    case TypeId::kF64:
-      return HashInt(static_cast<uint64_t>(vec.Data<double>()[pos]));
-    case TypeId::kStr: {
-      const StringVal& s = vec.Data<StringVal>()[pos];
-      return HashBytes(s.ptr, s.len);
-    }
-  }
-  return 0;
-}
-
-uint64_t HashStoreValue(const ColumnStore& col, size_t row) {
-  switch (col.type()) {
-    case TypeId::kU8:
-      return HashInt(col.Get<uint8_t>(row));
-    case TypeId::kI32:
-      return HashInt(static_cast<uint64_t>(col.Get<int32_t>(row)));
-    case TypeId::kI64:
-      return HashInt(static_cast<uint64_t>(col.Get<int64_t>(row)));
-    case TypeId::kF64:
-      return HashInt(static_cast<uint64_t>(col.Get<double>(row)));
-    case TypeId::kStr: {
-      const StringVal& s = col.Strs()[row];
-      return HashBytes(s.ptr, s.len);
-    }
-  }
-  return 0;
-}
-
-bool ValueEquals(const Vector& vec, sel_t pos, const ColumnStore& col,
-                 size_t row) {
-  switch (vec.type()) {
-    case TypeId::kU8:
-      return vec.Data<uint8_t>()[pos] == col.Get<uint8_t>(row);
-    case TypeId::kI32:
-      return vec.Data<int32_t>()[pos] == col.Get<int32_t>(row);
-    case TypeId::kI64:
-      return vec.Data<int64_t>()[pos] == col.Get<int64_t>(row);
-    case TypeId::kF64:
-      return vec.Data<double>()[pos] == col.Get<double>(row);
-    case TypeId::kStr:
-      return vec.Data<StringVal>()[pos] == col.Strs()[row];
-  }
-  return false;
-}
-
 // Gathers probe-side column values at pair positions into `out`.
 void GatherProbe(const Vector& src, const sel_t* positions, size_t n,
                  Vector* out) {
-  switch (src.type()) {
-    case TypeId::kU8:
-      prim::Gather<uint8_t>(src.Data<uint8_t>(), positions, n,
-                            out->Data<uint8_t>());
-      break;
-    case TypeId::kI32:
-      prim::Gather<int32_t>(src.Data<int32_t>(), positions, n,
-                            out->Data<int32_t>());
-      break;
-    case TypeId::kI64:
-      prim::Gather<int64_t>(src.Data<int64_t>(), positions, n,
-                            out->Data<int64_t>());
-      break;
-    case TypeId::kF64:
-      prim::Gather<double>(src.Data<double>(), positions, n,
-                           out->Data<double>());
-      break;
-    case TypeId::kStr:
-      prim::Gather<StringVal>(src.Data<StringVal>(), positions, n,
-                              out->Data<StringVal>());
-      out->AddHeapsFrom(src);
-      break;
-  }
+  VisitType(src.type(), [&](auto tag) {
+    using T = decltype(tag);
+    prim::Gather<T>(src.Data<T>(), positions, n, out->Data<T>());
+  });
+  if (src.type() == TypeId::kStr) out->AddHeapsFrom(src);
 }
 
 void ZeroFill(Vector* out, size_t i) {
-  switch (out->type()) {
-    case TypeId::kU8:
-      out->Data<uint8_t>()[i] = 0;
-      break;
-    case TypeId::kI32:
-      out->Data<int32_t>()[i] = 0;
-      break;
-    case TypeId::kI64:
-      out->Data<int64_t>()[i] = 0;
-      break;
-    case TypeId::kF64:
-      out->Data<double>()[i] = 0;
-      break;
-    case TypeId::kStr:
-      out->Data<StringVal>()[i] = StringVal();
-      break;
-  }
+  VisitType(out->type(),
+            [&](auto tag) { out->Data<decltype(tag)>()[i] = decltype(tag){}; });
 }
 
 }  // namespace
@@ -124,10 +38,7 @@ HashJoinOperator::HashJoinOperator(OperatorPtr probe, OperatorPtr build,
       build_(InterposeChild(std::move(build), config, "hash_join.build")),
       spec_(std::move(spec)),
       config_(config),
-      spill_(config_, 2,
-             [this](size_t side, const DataChunk& chunk, uint64_t* hashes) {
-               HashSpillKeys(side, chunk, hashes);
-             }) {
+      spill_(config_, 2) {
   out_types_ = probe_->OutputTypes();
   if (spec_.type == JoinType::kInner || spec_.type == JoinType::kLeftOuter) {
     for (size_t c : spec_.build_payload) {
@@ -166,6 +77,8 @@ Status HashJoinOperator::OpenImpl() {
   input_exhausted_ = false;
   pair_cursor_ = 0;
   pairs_.clear();
+  probe_hashes_ =
+      ctx()->scratch()->AcquireArray<uint64_t>(config_.vector_size);
   probe_pos_ = ctx()->scratch()->AcquireArray<sel_t>(config_.vector_size);
   build_row_idx_ =
       ctx()->scratch()->AcquireArray<uint32_t>(config_.vector_size);
@@ -240,7 +153,7 @@ Status HashJoinOperator::BuildTable() {
   bucket_mask_ = buckets - 1;
   chain_next_.assign(build_rows_, kNoRow);
   for (size_t row = 0; row < build_rows_; row++) {
-    uint64_t h = HashBuildRow(row) & bucket_mask_;
+    uint64_t h = HashStoredKeys(build_key_cols_, row) & bucket_mask_;
     chain_next_[row] = bucket_heads_[h];
     bucket_heads_[h] = static_cast<uint32_t>(row);
   }
@@ -251,16 +164,22 @@ Status HashJoinOperator::SpillBuildRows() {
   size_t n_keys = spec_.build_keys.size();
   if (!spill_.active()) {
     std::vector<TypeId> types;  // keys then payload: all the join retains
-    for (size_t c : spec_.build_keys) types.push_back(build_->OutputTypes()[c]);
+    std::vector<size_t> key_cols;
+    for (size_t c : spec_.build_keys) {
+      key_cols.push_back(types.size());
+      types.push_back(build_->OutputTypes()[c]);
+    }
     for (size_t c : spec_.build_payload) {
       types.push_back(build_->OutputTypes()[c]);
     }
-    VWISE_RETURN_IF_ERROR(spill_.OpenSide(kBuildSide, "join_build", types));
     build_view_.Init(types, config_.vector_size);
+    VWISE_RETURN_IF_ERROR(spill_.OpenSide(kBuildSide, "join_build",
+                                          std::move(types),
+                                          std::move(key_cols)));
   }
   VWISE_RETURN_IF_ERROR(spill_.Flush(
       kBuildSide, build_rows_,
-      [this](uint32_t row) { return HashBuildRow(row); },
+      [this](uint32_t row) { return HashStoredKeys(build_key_cols_, row); },
       [&](const uint32_t* ids, size_t n, DataChunk* out) {
         for (size_t k = 0; k < n_keys; k++) {
           build_key_cols_[k].Gather(ids, n, &out->column(k));
@@ -295,8 +214,9 @@ Status HashJoinOperator::PartitionBuildChunk(const DataChunk& chunk) {
 }
 
 Status HashJoinOperator::PartitionProbeSide() {
-  VWISE_RETURN_IF_ERROR(
-      spill_.OpenSide(kProbeSide, "join_probe", probe_->OutputTypes()));
+  VWISE_RETURN_IF_ERROR(spill_.OpenSide(kProbeSide, "join_probe",
+                                        probe_->OutputTypes(),
+                                        spec_.probe_keys));
   while (true) {
     VWISE_RETURN_IF_ERROR(ctx()->Check());
     input_.Reset();
@@ -386,50 +306,6 @@ Status HashJoinOperator::FetchProbeChunk() {
   }
 }
 
-void HashJoinOperator::HashSpillKeys(size_t side, const DataChunk& chunk,
-                                     uint64_t* hashes) const {
-  size_t n = chunk.ActiveCount();
-  const sel_t* sel = chunk.sel();
-  std::fill(hashes, hashes + n, 0);
-  for (size_t k = 0; k < spec_.probe_keys.size(); k++) {
-    // Build-side spill rows carry the keys first; probe rows are whole.
-    const Vector& key =
-        chunk.column(side == kBuildSide ? k : spec_.probe_keys[k]);
-    for (size_t i = 0; i < n; i++) {
-      sel_t pos = sel ? sel[i] : static_cast<sel_t>(i);
-      hashes[i] = HashCombine(hashes[i], HashVectorValue(key, pos));
-    }
-  }
-}
-
-uint64_t HashJoinOperator::HashBuildRow(size_t row) const {
-  uint64_t h = 0;
-  for (const ColumnStore& col : build_key_cols_) {
-    h = HashCombine(h, HashStoreValue(col, row));
-  }
-  return h;
-}
-
-uint64_t HashJoinOperator::HashProbeRow(const DataChunk& chunk,
-                                        sel_t pos) const {
-  uint64_t h = 0;
-  for (size_t k = 0; k < spec_.probe_keys.size(); k++) {
-    h = HashCombine(h, HashVectorValue(chunk.column(spec_.probe_keys[k]), pos));
-  }
-  return h;
-}
-
-bool HashJoinOperator::KeysEqual(const DataChunk& chunk, sel_t pos,
-                                 size_t build_row) const {
-  for (size_t k = 0; k < spec_.probe_keys.size(); k++) {
-    if (!ValueEquals(chunk.column(spec_.probe_keys[k]), pos,
-                     build_key_cols_[k], build_row)) {
-      return false;
-    }
-  }
-  return true;
-}
-
 Status HashJoinOperator::ProcessProbeChunk() {
   pairs_.clear();
   pair_cursor_ = 0;
@@ -439,18 +315,22 @@ Status HashJoinOperator::ProcessProbeChunk() {
   // first full chunk; assign then only zero-fills
   probe_match_.assign(input_.count(), 0);
 
-  // 1. Candidate pairs by hash + key equality. candidates_ keeps its
-  // capacity across chunks, so growth stops once the noisiest chunk has
-  // been seen.
+  // 1. Candidate pairs by hash + key equality: the vector's key hashes
+  // first, then one chain walk per row. candidates_ keeps its capacity
+  // across chunks, so growth stops once the noisiest chunk has been seen.
   candidates_.clear();
-  for (size_t i = 0; i < n; i++) {
-    sel_t pos = sel ? sel[i] : static_cast<sel_t>(i);
-    if (build_rows_ > 0) {
-      uint64_t h = HashProbeRow(input_, pos) & bucket_mask_;
+  if (build_rows_ > 0) {
+    uint64_t* hashes = probe_hashes_.data<uint64_t>();
+    HashKeys(input_, spec_.probe_keys, hashes);
+    for (size_t i = 0; i < n; i++) {
+      sel_t pos = sel ? sel[i] : static_cast<sel_t>(i);
+      uint64_t h = hashes[i] & bucket_mask_;
       for (uint32_t row = bucket_heads_[h]; row != kNoRow; row = chain_next_[row]) {
-        // vwise-hotpath: allow(alloc): amortized growth, capacity persists
-        // across probe chunks
-        if (KeysEqual(input_, pos, row)) candidates_.push_back(Pair{pos, row});
+        if (KeysEqual(input_, spec_.probe_keys, pos, build_key_cols_, row)) {
+          // vwise-hotpath: allow(alloc): amortized growth, capacity persists
+          // across probe chunks
+          candidates_.push_back(Pair{pos, row});
+        }
       }
     }
   }
@@ -528,45 +408,23 @@ void HashJoinOperator::EmitPairs(DataChunk* out) {
   for (size_t c = 0; c < n_probe_cols; c++) {
     GatherProbe(input_.column(c), probe_pos, batch, &out->column(c));
   }
-  // Payload: sentinel rows (unmatched outer) get zero/empty values.
-  bool has_sentinel = false;
-  for (size_t i = 0; i < batch; i++) has_sentinel |= (build_rows[i] == kNoRow);
-  for (size_t k = 0; k < build_payload_cols_.size(); k++) {
-    Vector& dst = out->column(n_probe_cols + k);
-    if (!has_sentinel) {
-      build_payload_cols_[k].Gather(build_rows, batch, &dst);
-    } else {
-      const ColumnStore& store = build_payload_cols_[k];
-      for (size_t i = 0; i < batch; i++) {
-        if (build_rows[i] == kNoRow) {
-          ZeroFill(&dst, i);
-          continue;
-        }
-        size_t row = build_rows[i];
-        switch (dst.type()) {
-          case TypeId::kU8:
-            dst.Data<uint8_t>()[i] = store.Get<uint8_t>(row);
-            break;
-          case TypeId::kI32:
-            dst.Data<int32_t>()[i] = store.Get<int32_t>(row);
-            break;
-          case TypeId::kI64:
-            dst.Data<int64_t>()[i] = store.Get<int64_t>(row);
-            break;
-          case TypeId::kF64:
-            dst.Data<double>()[i] = store.Get<double>(row);
-            break;
-          case TypeId::kStr:
-            dst.Data<StringVal>()[i] = store.Strs()[row];
-            break;
-        }
-      }
-      if (store.heap()) dst.AddStringHeapRef(store.heap());
+  // Unmatched outer rows (sentinels) gather build row 0 as a stand-in, then
+  // their payload is zeroed; with no build rows there is nothing to gather.
+  uint8_t* matched = nullptr;
+  if (spec_.type == JoinType::kLeftOuter) {
+    matched = out->column(out_types_.size() - 1).Data<uint8_t>();
+    for (size_t i = 0; i < batch; i++) {
+      matched[i] = build_rows[i] != kNoRow;
+      if (!matched[i]) build_rows[i] = 0;
     }
   }
-  if (spec_.type == JoinType::kLeftOuter) {
-    uint8_t* flag = out->column(out_types_.size() - 1).Data<uint8_t>();
-    for (size_t i = 0; i < batch; i++) flag[i] = build_rows[i] != kNoRow;
+  for (size_t k = 0; k < build_payload_cols_.size(); k++) {
+    Vector& dst = out->column(n_probe_cols + k);
+    if (build_rows_ > 0) build_payload_cols_[k].Gather(build_rows, batch, &dst);
+    if (matched == nullptr) continue;
+    for (size_t i = 0; i < batch; i++) {
+      if (!matched[i]) ZeroFill(&dst, i);
+    }
   }
   out->SetCount(batch);
 }
@@ -632,6 +490,7 @@ void HashJoinOperator::Close() {
   spill_.Drop();
   probe_partitioned_ = false;
   build_bytes_ = 0;
+  probe_hashes_.Release();
   probe_pos_.Release();
   build_row_idx_.Release();
   residual_sel_.Release();

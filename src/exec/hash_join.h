@@ -87,13 +87,6 @@ class HashJoinOperator final : public Operator {
   Status FetchProbeChunk();
   // Resets the resident build rows/table and returns their reservation.
   void ReleaseBuildSide();
-  // RadixSpill::Hasher: the key hash of spilled build or probe rows.
-  void HashSpillKeys(size_t side, const DataChunk& chunk,
-                     uint64_t* hashes) const;
-
-  uint64_t HashBuildRow(size_t row) const;
-  uint64_t HashProbeRow(const DataChunk& chunk, sel_t pos) const;
-  bool KeysEqual(const DataChunk& chunk, sel_t pos, size_t build_row) const;
 
   OperatorPtr probe_;
   OperatorPtr build_;
@@ -121,8 +114,10 @@ class HashJoinOperator final : public Operator {
   size_t pair_cursor_ = 0;
   std::vector<uint8_t> probe_match_;  // per probe position: any match
   DataChunk residual_scratch_;
-  // Emit/residual gather arrays, leased from the query's VectorScratch arena
-  // in OpenImpl — the per-chunk emit and residual loops allocate nothing.
+  // Probe hashes and emit/residual gather arrays, leased from the query's
+  // VectorScratch arena in OpenImpl — the per-chunk probe, emit and residual
+  // loops allocate nothing.
+  ScratchHandle probe_hashes_;   // uint64_t[vector_size]
   ScratchHandle probe_pos_;      // sel_t[vector_size]
   ScratchHandle build_row_idx_;  // uint32_t[vector_size]
   ScratchHandle residual_sel_;   // sel_t[vector_size]

@@ -5,6 +5,7 @@
 #include <system_error>
 
 #include "common/failpoint.h"
+#include "exec/key_hash.h"
 #include "storage/spill_file.h"
 
 namespace vwise {
@@ -29,8 +30,8 @@ bool ShouldSpill(QueryContext* ctx, const Config& config, size_t held_bytes) {
   return ctx->memory_budget() > 0 && held_bytes > ctx->memory_budget() / 2;
 }
 
-RadixSpill::RadixSpill(const Config& config, size_t sides, Hasher hasher)
-    : config_(config), sides_(sides), hasher_(std::move(hasher)) {}
+RadixSpill::RadixSpill(const Config& config, size_t sides)
+    : config_(config), sides_(sides) {}
 
 RadixSpill::~RadixSpill() { Drop(); }
 
@@ -41,7 +42,8 @@ void RadixSpill::Bind(QueryContext* ctx) {
 }
 
 Status RadixSpill::OpenSide(size_t side, const char* tag,
-                            std::vector<TypeId> types) {
+                            std::vector<TypeId> types,
+                            std::vector<size_t> key_cols) {
   if (n_partitions_ == 0) {
     n_partitions_ = SpillPartitionCount(config_.spill_partitions);
     stats_.partitions = n_partitions_;
@@ -51,6 +53,7 @@ Status RadixSpill::OpenSide(size_t side, const char* tag,
   Side& s = sides_[side];
   s.tag = tag;
   s.types = std::move(types);
+  s.key_cols = std::move(key_cols);
   for (Partition& part : pending_) {
     // The path is owned before the file exists, so Drop removes even a
     // half-created set.
@@ -101,7 +104,7 @@ Status RadixSpill::RouteTo(
   const sel_t* sel = chunk.sel();
   size_t fanout = writers.size();
   hashes_.resize(n);
-  hasher_(side, chunk, hashes_.data());
+  HashKeys(chunk, sides_[side].key_cols, hashes_.data());
   buckets_.resize(fanout);
   for (auto& rows : buckets_) rows.clear();
   for (size_t i = 0; i < n; i++) {

@@ -33,10 +33,11 @@ bool ShouldSpill(QueryContext* ctx, const Config& config, size_t held_bytes);
 // Grace radix partitioning, the one spill mechanism of the hash breakers.
 // A partition has one file per "side": hash join spills two (build rows and
 // probe rows, which must meet in the same partition), hash aggregation one
-// (mergeable group-state rows). The caller supplies every row's key hash —
-// the same hash its table uses — and keeps its table-specific work (the
-// in-memory flush gather, partition load, merge and probe); this class owns
-// routing, the partition files and their lifetime.
+// (mergeable group-state rows). Each side declares which of its columns
+// form the key, and rows are routed by HashKeys over them — the key hash
+// the operators' tables use (exec/key_hash.h). The caller keeps its
+// table-specific work (the in-memory flush gather, partition load, merge and
+// probe); this class owns routing, the partition files and their lifetime.
 //
 // Consume phase: OpenSide creates a side's level-0 writer set (the first
 // call fixes the fanout, Config::spill_partitions), Flush writes the
@@ -63,13 +64,8 @@ class RadixSpill {
     size_t depth = 0;
   };
 
-  // Fills hashes[i] with the key hash of the i-th active row of `chunk`,
-  // which has side `side`'s spill schema.
-  using Hasher = std::function<void(size_t side, const DataChunk& chunk,
-                                    uint64_t* hashes)>;
-
   // `config` is the owning operator's copy and must outlive this object.
-  RadixSpill(const Config& config, size_t sides, Hasher hasher);
+  RadixSpill(const Config& config, size_t sides);
   ~RadixSpill();
   RadixSpill(const RadixSpill&) = delete;
   RadixSpill& operator=(const RadixSpill&) = delete;
@@ -83,11 +79,13 @@ class RadixSpill {
   const Stats& stats() const { return stats_; }
 
   // --- consume phase -------------------------------------------------------
-  // Creates side `side`'s level-0 files, tagged `tag`, holding `types` rows.
-  Status OpenSide(size_t side, const char* tag, std::vector<TypeId> types);
+  // Creates side `side`'s level-0 files, tagged `tag`, holding `types` rows
+  // whose key is the columns `key_cols`.
+  Status OpenSide(size_t side, const char* tag, std::vector<TypeId> types,
+                  std::vector<size_t> key_cols);
   // Writes the caller's in-memory rows [0, rows): row r goes to the
-  // partition of row_hash(r), gathered in vector-sized batches by
-  // `gather(ids, n, out)` into a chunk of the side's schema.
+  // partition of row_hash(r), its key hash, gathered in vector-sized
+  // batches by `gather(ids, n, out)` into a chunk of the side's schema.
   Status Flush(size_t side, size_t rows,
                const std::function<uint64_t(uint32_t)>& row_hash,
                const std::function<void(const uint32_t*, size_t, DataChunk*)>&
@@ -122,6 +120,7 @@ class RadixSpill {
   struct Side {
     std::string tag;
     std::vector<TypeId> types;
+    std::vector<size_t> key_cols;
     std::vector<std::unique_ptr<SpillWriter>> writers;  // level 0, when open
   };
   // A spilled partition: one file per side.
@@ -137,7 +136,6 @@ class RadixSpill {
 
   const Config& config_;
   std::vector<Side> sides_;
-  Hasher hasher_;
   QueryContext* ctx_ = nullptr;
   size_t n_partitions_ = 0;           // level-0 fanout; 0 = not spilled
   std::deque<Partition> pending_;     // depth-first: children go in front

@@ -130,6 +130,25 @@ struct DataType {
 // Index type of selection vectors (X100-style: positions into a vector).
 using sel_t = uint32_t;
 
+// Calls fn(T{}) with T the value type of physical type `t` (uint8_t,
+// int32_t, int64_t, double, StringVal), so code written once as a template
+// over T dispatches through this one switch.
+template <typename Fn>
+void VisitType(TypeId t, Fn&& fn) {
+  switch (t) {
+    case TypeId::kU8:
+      return fn(uint8_t{});
+    case TypeId::kI32:
+      return fn(int32_t{});
+    case TypeId::kI64:
+      return fn(int64_t{});
+    case TypeId::kF64:
+      return fn(double{});
+    case TypeId::kStr:
+      return fn(StringVal{});
+  }
+}
+
 }  // namespace vwise
 
 #endif  // VWISE_VECTOR_TYPES_H_

@@ -17,14 +17,16 @@ namespace {
 template <typename T>
 Vector ToVector(TypeId type, const std::vector<T>& in) {
   Vector v(type, std::max<size_t>(in.size(), 1));
-  std::memcpy(v.raw(), in.data(), in.size() * sizeof(T));
+  // An empty std::vector's data() may be null, and memcpy from null is UB
+  // even for zero bytes.
+  if (!in.empty()) std::memcpy(v.raw(), in.data(), in.size() * sizeof(T));
   return v;
 }
 
 template <typename T>
 std::vector<T> FromVector(const Vector& v, size_t n) {
   std::vector<T> out(n);
-  std::memcpy(out.data(), v.raw(), n * sizeof(T));
+  if (n > 0) std::memcpy(out.data(), v.raw(), n * sizeof(T));
   return out;
 }
 

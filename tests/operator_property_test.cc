@@ -1,7 +1,9 @@
 #include <algorithm>
 #include <filesystem>
 #include <map>
+#include <ostream>
 #include <set>
+#include <string>
 
 #include "api/database.h"
 #include "common/rng.h"
@@ -16,16 +18,31 @@ namespace {
 
 // Property tests: vectorized operators against naive reference
 // implementations over randomly generated tables, across several data
-// regimes (key skew, table sizes, vector sizes).
+// regimes (key skew, table sizes, vector sizes, key types).
+
+// The key the joins and aggregations use. Every table holds the key draw d
+// and a row number v; kI64 keys on d itself, the others on key columns
+// derived from d one-to-one (up to -0.0 == +0.0), so the references compare
+// draws.
+enum class KeyType {
+  kI64,
+  kI32,     // d - domain/2: negative keys too
+  kF64,     // (d - domain/2) / 4: negative, fractional; 0 is -0.0 on odd rows
+  kStr,     // varchar; d == 0 is the empty string
+  kTwoCol,  // (i64 d % 5, varchar d / 5)
+};
 
 struct Regime {
   const char* name;
   uint64_t seed;
   size_t probe_rows;
   size_t build_rows;
-  int64_t key_domain;  // keys drawn from [0, key_domain)
+  int64_t key_domain;  // key draws from [0, key_domain)
   size_t vector_size;
+  KeyType key = KeyType::kI64;
 };
+
+void PrintTo(const Regime& r, std::ostream* os) { *os << r.name; }
 
 class OperatorPropertyTest : public ::testing::TestWithParam<Regime> {
  protected:
@@ -45,14 +62,36 @@ class OperatorPropertyTest : public ::testing::TestWithParam<Regime> {
     for (auto& k : probe_) k = rng.Uniform(0, p.key_domain - 1);
     for (auto& k : build_) k = rng.Uniform(0, p.key_domain - 1);
 
+    std::vector<ColumnDef> cols = {ColumnDef("d", DataType::Int64()),
+                                   ColumnDef("v", DataType::Int64())};
+    switch (p.key) {
+      case KeyType::kI64:
+        key_cols_ = {0};
+        break;
+      case KeyType::kI32:
+        cols.emplace_back("k", DataType::Int32());
+        break;
+      case KeyType::kF64:
+        cols.emplace_back("k", DataType::Double());
+        break;
+      case KeyType::kStr:
+        cols.emplace_back("k", DataType::Varchar());
+        break;
+      case KeyType::kTwoCol:
+        cols.emplace_back("k", DataType::Int64());
+        cols.emplace_back("k2", DataType::Varchar());
+        key_cols_ = {2, 3};
+        break;
+    }
+    n_cols_ = cols.size();
     auto load = [&](const char* name, const std::vector<int64_t>& keys) {
-      TableSchema t(name, {ColumnDef("k", DataType::Int64()),
-                           ColumnDef("v", DataType::Int64())});
-      ASSERT_TRUE(db_->CreateTable(t).ok());
+      ASSERT_TRUE(db_->CreateTable(TableSchema(name, cols)).ok());
       ASSERT_TRUE(db_->BulkLoad(name, [&](TableWriter* w) -> Status {
         for (size_t i = 0; i < keys.size(); i++) {
-          VWISE_RETURN_IF_ERROR(w->AppendRow(
-              {Value::Int(keys[i]), Value::Int(static_cast<int64_t>(i))}));
+          std::vector<Value> row = {Value::Int(keys[i]),
+                                    Value::Int(static_cast<int64_t>(i))};
+          for (Value& k : KeyValues(keys[i], i % 2 == 1)) row.push_back(k);
+          VWISE_RETURN_IF_ERROR(w->AppendRow(row));
         }
         return Status::OK();
       }).ok());
@@ -65,14 +104,38 @@ class OperatorPropertyTest : public ::testing::TestWithParam<Regime> {
     std::filesystem::remove_all(dir_);
   }
 
+  // The derived key columns of draw d (none for kI64, which keys on d).
+  std::vector<Value> KeyValues(int64_t d, bool negative_zero) const {
+    int64_t mid = GetParam().key_domain / 2;
+    switch (GetParam().key) {
+      case KeyType::kI64:
+        return {};
+      case KeyType::kI32:
+        return {Value::Int(d - mid)};
+      case KeyType::kF64: {
+        double k = static_cast<double>(d - mid) / 4;
+        return {Value::Double(k == 0 && negative_zero ? -0.0 : k)};
+      }
+      case KeyType::kStr:
+        return {Value::String(
+            d == 0 ? "" : std::string(d % 4, 'x') + std::to_string(d))};
+      case KeyType::kTwoCol:
+        return {Value::Int(d % 5), Value::String(std::to_string(d / 5))};
+    }
+    return {};
+  }
+
   OperatorPtr Scan(const char* table) {
     auto snap = db_->Internals().tm->GetSnapshot(table);
     EXPECT_TRUE(snap.ok());
-    return std::make_unique<ScanOperator>(*snap, std::vector<uint32_t>{0, 1},
-                                          config_);
+    std::vector<uint32_t> cols;
+    for (uint32_t c = 0; c < n_cols_; c++) cols.push_back(c);
+    return std::make_unique<ScanOperator>(*snap, cols, config_);
   }
 
   Config config_;
+  std::vector<size_t> key_cols_ = {2};  // join and group key columns
+  size_t n_cols_ = 0;                   // columns of either table
   std::string dir_;
   std::unique_ptr<Database> db_;
   std::vector<int64_t> probe_, build_;
@@ -81,8 +144,8 @@ class OperatorPropertyTest : public ::testing::TestWithParam<Regime> {
 TEST_P(OperatorPropertyTest, InnerJoinMatchesNestedLoop) {
   HashJoinOperator::Spec spec;
   spec.type = JoinType::kInner;
-  spec.probe_keys = {0};
-  spec.build_keys = {0};
+  spec.probe_keys = key_cols_;
+  spec.build_keys = key_cols_;
   spec.build_payload = {1};
   HashJoinOperator join(Scan("probe"), Scan("build"), std::move(spec), config_);
   auto r = CollectRows(&join, config_.vector_size);
@@ -97,7 +160,7 @@ TEST_P(OperatorPropertyTest, InnerJoinMatchesNestedLoop) {
     }
   }
   for (const auto& row : r->rows) {
-    got.insert({row[1].AsInt(), row[2].AsInt()});
+    got.insert({row[1].AsInt(), row[n_cols_].AsInt()});
   }
   EXPECT_EQ(got, expect);
 }
@@ -106,8 +169,8 @@ TEST_P(OperatorPropertyTest, SemiAntiPartitionProbe) {
   auto run = [&](JoinType t) {
     HashJoinOperator::Spec spec;
     spec.type = t;
-    spec.probe_keys = {0};
-    spec.build_keys = {0};
+    spec.probe_keys = key_cols_;
+    spec.build_keys = key_cols_;
     HashJoinOperator join(Scan("probe"), Scan("build"), std::move(spec), config_);
     auto r = CollectRows(&join, config_.vector_size);
     EXPECT_TRUE(r.ok());
@@ -125,9 +188,11 @@ TEST_P(OperatorPropertyTest, SemiAntiPartitionProbe) {
 }
 
 TEST_P(OperatorPropertyTest, GroupedAggMatchesMapReference) {
-  HashAggOperator agg(Scan("probe"), {0},
+  // min(d) and max(d) name the group's draw; they differ if distinct keys
+  // were merged into one group.
+  HashAggOperator agg(Scan("probe"), key_cols_,
                       {AggSpec::CountStar(), AggSpec::Sum(1), AggSpec::Min(1),
-                       AggSpec::Max(1)},
+                       AggSpec::Max(1), AggSpec::Min(0), AggSpec::Max(0)},
                       config_);
   auto r = CollectRows(&agg, config_.vector_size);
   ASSERT_TRUE(r.ok());
@@ -143,13 +208,20 @@ TEST_P(OperatorPropertyTest, GroupedAggMatchesMapReference) {
     ref.mx = std::max<int64_t>(ref.mx, i);
   }
   ASSERT_EQ(r->rows.size(), expect.size());
+  size_t nk = key_cols_.size();
   for (const auto& row : r->rows) {
-    auto it = expect.find(row[0].AsInt());
+    int64_t d = row[nk + 4].AsInt();
+    ASSERT_EQ(row[nk + 5].AsInt(), d);
+    auto it = expect.find(d);
     ASSERT_NE(it, expect.end());
-    EXPECT_EQ(row[1].AsInt(), it->second.n);
-    EXPECT_EQ(row[2].AsInt(), it->second.sum);
-    EXPECT_EQ(row[3].AsInt(), it->second.mn);
-    EXPECT_EQ(row[4].AsInt(), it->second.mx);
+    std::vector<Value> key(row.begin(), row.begin() + nk);
+    std::vector<Value> want = KeyValues(d, false);
+    if (want.empty()) want = {Value::Int(d)};
+    EXPECT_EQ(key, want);  // doubles compare with ==, so -0.0 matches 0.0
+    EXPECT_EQ(row[nk].AsInt(), it->second.n);
+    EXPECT_EQ(row[nk + 1].AsInt(), it->second.sum);
+    EXPECT_EQ(row[nk + 2].AsInt(), it->second.mn);
+    EXPECT_EQ(row[nk + 3].AsInt(), it->second.mx);
   }
 }
 
@@ -195,7 +267,11 @@ INSTANTIATE_TEST_SUITE_P(
         Regime{"tiny_vectors", 24, 333, 251, 40, 2},
         Regime{"build_heavy", 25, 100, 2000, 50, 1024},
         Regime{"probe_heavy", 26, 2000, 50, 50, 1024},
-        Regime{"single_row", 27, 1, 1, 1, 16}),
+        Regime{"single_row", 27, 1, 1, 1, 16},
+        Regime{"i32_keys", 28, 300, 200, 40, 64, KeyType::kI32},
+        Regime{"f64_keys", 29, 300, 200, 40, 64, KeyType::kF64},
+        Regime{"varchar_keys", 30, 300, 200, 40, 64, KeyType::kStr},
+        Regime{"two_col_keys", 31, 300, 200, 40, 16, KeyType::kTwoCol}),
     [](const ::testing::TestParamInfo<Regime>& info) {
       return info.param.name;
     });
