@@ -1,17 +1,50 @@
 #include "compression/codec.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <limits>
 #include <string_view>
+#include <type_traits>
 #include <unordered_map>
+#include <utility>
 
 #include "common/bitutil.h"
 #include "common/macros.h"
 
 namespace vwise::compression {
 
+// Bounds-checked cursor over a segment's bytes (used while opening one).
+class ByteReader {
+ public:
+  ByteReader(const uint8_t* data, size_t size) : p_(data), end_(data + size) {}
+
+  template <typename T>
+  Status Get(T* out) {
+    if (sizeof(T) > remaining()) return Status::Corruption("segment truncated");
+    std::memcpy(out, p_, sizeof(T));
+    p_ += sizeof(T);
+    return Status::OK();
+  }
+  Status Skip(size_t n) {
+    if (n > remaining()) return Status::Corruption("segment truncated");
+    p_ += n;
+    return Status::OK();
+  }
+  const uint8_t* cursor() const { return p_; }
+  size_t remaining() const { return static_cast<size_t>(end_ - p_); }
+
+ private:
+  const uint8_t* p_;
+  const uint8_t* end_;
+};
+
 namespace {
+
+// Bytes per PFOR exception (u32 position + u64 value) and per RLE run
+// (u64 value + u32 length).
+constexpr size_t kExceptionBytes = 12;
+constexpr size_t kRunBytes = 12;
 
 // --- blob read/write helpers ------------------------------------------------
 
@@ -24,39 +57,6 @@ template <typename T>
 void Put(std::vector<uint8_t>* blob, T v) {
   PutBytes(blob, &v, sizeof(T));
 }
-
-class Reader {
- public:
-  Reader(const uint8_t* data, size_t size) : p_(data), end_(data + size) {}
-  explicit Reader(const std::vector<uint8_t>& blob)
-      : Reader(blob.data(), blob.size()) {}
-
-  template <typename T>
-  Status Get(T* out) {
-    if (p_ + sizeof(T) > end_) return Status::Corruption("segment truncated");
-    std::memcpy(out, p_, sizeof(T));
-    p_ += sizeof(T);
-    return Status::OK();
-  }
-  Status GetBytes(void* out, size_t n) {
-    if (n == 0) return Status::OK();
-    if (p_ + n > end_) return Status::Corruption("segment truncated");
-    std::memcpy(out, p_, n);
-    p_ += n;
-    return Status::OK();
-  }
-  Status Skip(size_t n) {
-    if (p_ + n > end_) return Status::Corruption("segment truncated");
-    p_ += n;
-    return Status::OK();
-  }
-  const uint8_t* cursor() const { return p_; }
-  size_t remaining() const { return static_cast<size_t>(end_ - p_); }
-
- private:
-  const uint8_t* p_;
-  const uint8_t* end_;
-};
 
 // --- generic integer widening ------------------------------------------------
 
@@ -85,26 +85,6 @@ uint64_t LoadInt(TypeId t, const void* values, size_t i) {
   return 0;
 }
 
-void StoreInt(TypeId t, void* out, size_t i, uint64_t v) {
-  switch (t) {
-    case TypeId::kU8:
-      static_cast<uint8_t*>(out)[i] = static_cast<uint8_t>(v);
-      return;
-    case TypeId::kI32:
-      static_cast<int32_t*>(out)[i] = static_cast<int32_t>(v);
-      return;
-    case TypeId::kI64:
-      static_cast<int64_t*>(out)[i] = static_cast<int64_t>(v);
-      return;
-    case TypeId::kF64:
-      std::memcpy(static_cast<double*>(out) + i, &v, 8);
-      return;
-    case TypeId::kStr:
-      break;
-  }
-  VWISE_CHECK_MSG(false, "StoreInt on string");
-}
-
 bool IsIntType(TypeId t) { return t == TypeId::kU8 || t == TypeId::kI32 || t == TypeId::kI64; }
 
 // --- PFOR core ----------------------------------------------------------------
@@ -127,7 +107,7 @@ PforPlan PlanPfor(const uint64_t* vals, size_t n) {
   size_t wider = n;
   for (int w = 0; w <= 64; w++) {
     wider -= width_hist[w];
-    size_t cost = bit::PackedSize(n, w) + wider * 12;
+    size_t cost = bit::PackedSize(n, w) + wider * kExceptionBytes;
     if (cost < best_cost) {
       best_cost = cost;
       best.width = w;
@@ -163,27 +143,6 @@ void EncodePforCore(const uint64_t* vals, size_t n, std::vector<uint8_t>* blob) 
   if (plan.width > 0) bit::PackBits(slots.data(), n, plan.width, blob->data() + off);
   PutBytes(blob, exc_pos.data(), exc_pos.size() * sizeof(uint32_t));
   PutBytes(blob, exc_val.data(), exc_val.size() * sizeof(uint64_t));
-}
-
-Status DecodePforCore(Reader* r, size_t n, uint64_t* out) {
-  uint8_t width;
-  uint32_t n_exc;
-  VWISE_RETURN_IF_ERROR(r->Get(&width));
-  VWISE_RETURN_IF_ERROR(r->Get(&n_exc));
-  if (width > 64) return Status::Corruption("bad PFOR width");
-  size_t packed = bit::PackedSize(n, width);
-  if (r->remaining() < packed) return Status::Corruption("PFOR packed data truncated");
-  bit::UnpackBits(r->cursor(), n, width, out);
-  VWISE_RETURN_IF_ERROR(r->Skip(packed));
-  std::vector<uint32_t> exc_pos(n_exc);
-  std::vector<uint64_t> exc_val(n_exc);
-  VWISE_RETURN_IF_ERROR(r->GetBytes(exc_pos.data(), n_exc * sizeof(uint32_t)));
-  VWISE_RETURN_IF_ERROR(r->GetBytes(exc_val.data(), n_exc * sizeof(uint64_t)));
-  for (uint32_t i = 0; i < n_exc; i++) {
-    if (exc_pos[i] >= n) return Status::Corruption("bad PFOR exception position");
-    out[exc_pos[i]] = exc_val[i];
-  }
-  return Status::OK();
 }
 
 // --- scheme encoders ------------------------------------------------------------
@@ -226,12 +185,15 @@ Result<CompressedSegment> EncodePfor(TypeId type, const void* values, size_t n,
   std::vector<uint64_t> work(n);
   if (delta) {
     // First value verbatim in the header; zigzag deltas for the rest.
+    // The delta is taken in unsigned arithmetic: it wraps instead of
+    // overflowing when the two values are more than INT64_MAX apart, and the
+    // decoder's unsigned prefix sum wraps back.
     uint64_t first = LoadInt(type, values, 0);
     Put<uint64_t>(&seg.data, first);
-    int64_t prev = static_cast<int64_t>(first);
+    uint64_t prev = first;
     for (size_t i = 1; i < n; i++) {
-      int64_t cur = static_cast<int64_t>(LoadInt(type, values, i));
-      work[i - 1] = bit::ZigZagEncode(cur - prev);
+      uint64_t cur = LoadInt(type, values, i);
+      work[i - 1] = bit::ZigZagEncode(static_cast<int64_t>(cur - prev));
       prev = cur;
     }
     work.resize(n - 1);
@@ -243,9 +205,9 @@ Result<CompressedSegment> EncodePfor(TypeId type, const void* values, size_t n,
       base = std::min(base, static_cast<int64_t>(LoadInt(type, values, i)));
     }
     Put<int64_t>(&seg.data, base);
+    // Unsigned: value - base exceeds INT64_MAX when the range does.
     for (size_t i = 0; i < n; i++) {
-      work[i] = static_cast<uint64_t>(
-          static_cast<int64_t>(LoadInt(type, values, i)) - base);
+      work[i] = LoadInt(type, values, i) - static_cast<uint64_t>(base);
     }
     EncodePforCore(work.data(), n, &seg.data);
   }
@@ -305,96 +267,6 @@ Result<CompressedSegment> EncodePdict(TypeId type, const void* values, size_t n)
   return seg;
 }
 
-// --- scheme decoders ------------------------------------------------------------
-
-Status DecodePlain(TypeId type, uint32_t count, Reader& r, void* out,
-                   StringHeap* heap) {
-  size_t n = count;
-  if (type == TypeId::kStr) {
-    if (heap == nullptr) return Status::InvalidArgument("string decode needs a heap");
-    uint32_t total = 0;
-    VWISE_RETURN_IF_ERROR(r.Get(&total));
-    std::vector<uint32_t> lens(n);
-    VWISE_RETURN_IF_ERROR(r.GetBytes(lens.data(), n * 4));
-    char* bytes = heap->Reserve(total);
-    VWISE_RETURN_IF_ERROR(r.GetBytes(bytes, total));
-    StringVal* o = static_cast<StringVal*>(out);
-    uint32_t off = 0;
-    for (size_t i = 0; i < n; i++) {
-      if (off + lens[i] > total) return Status::Corruption("string lengths overflow");
-      o[i] = StringVal(bytes + off, lens[i]);
-      off += lens[i];
-    }
-    return Status::OK();
-  }
-  return r.GetBytes(out, n * FixedWidth(type));
-}
-
-Status DecodePfor(Codec codec, TypeId type, uint32_t count, Reader& r,
-                  void* out) {
-  size_t n = count;
-  if (n == 0) return Status::OK();
-  std::vector<uint64_t> work(n);
-  if (codec == Codec::kPforDelta) {
-    uint64_t first;
-    VWISE_RETURN_IF_ERROR(r.Get(&first));
-    if (n > 1) {
-      VWISE_RETURN_IF_ERROR(DecodePforCore(&r, n - 1, work.data()));
-    }
-    int64_t cur = static_cast<int64_t>(first);
-    StoreInt(type, out, 0, static_cast<uint64_t>(cur));
-    for (size_t i = 1; i < n; i++) {
-      cur += bit::ZigZagDecode(work[i - 1]);
-      StoreInt(type, out, i, static_cast<uint64_t>(cur));
-    }
-  } else {
-    int64_t base = 0;
-    VWISE_RETURN_IF_ERROR(r.Get(&base));
-    VWISE_RETURN_IF_ERROR(DecodePforCore(&r, n, work.data()));
-    for (size_t i = 0; i < n; i++) {
-      StoreInt(type, out, i,
-               static_cast<uint64_t>(base + static_cast<int64_t>(work[i])));
-    }
-  }
-  return Status::OK();
-}
-
-Status DecodeRle(TypeId type, uint32_t count, Reader& r, void* out) {
-  uint32_t n_runs;
-  VWISE_RETURN_IF_ERROR(r.Get(&n_runs));
-  size_t i = 0;
-  for (uint32_t run = 0; run < n_runs; run++) {
-    uint64_t v;
-    uint32_t len;
-    VWISE_RETURN_IF_ERROR(r.Get(&v));
-    VWISE_RETURN_IF_ERROR(r.Get(&len));
-    if (i + len > count) return Status::Corruption("RLE overflow");
-    for (uint32_t k = 0; k < len; k++) StoreInt(type, out, i++, v);
-  }
-  if (i != count) return Status::Corruption("RLE underflow");
-  return Status::OK();
-}
-
-Status DecodePdict(uint32_t count, Reader& r, void* out, StringHeap* heap) {
-  if (heap == nullptr) return Status::InvalidArgument("string decode needs a heap");
-  uint32_t dict_n;
-  VWISE_RETURN_IF_ERROR(r.Get(&dict_n));
-  std::vector<uint32_t> offsets(dict_n + 1);
-  VWISE_RETURN_IF_ERROR(r.GetBytes(offsets.data(), (dict_n + 1) * 4));
-  uint32_t total = offsets[dict_n];
-  char* bytes = heap->Reserve(total);
-  VWISE_RETURN_IF_ERROR(r.GetBytes(bytes, total));
-  std::vector<uint64_t> codes(count);
-  VWISE_RETURN_IF_ERROR(DecodePforCore(&r, count, codes.data()));
-  StringVal* o = static_cast<StringVal*>(out);
-  for (size_t i = 0; i < count; i++) {
-    uint64_t c = codes[i];
-    if (c >= dict_n) return Status::Corruption("PDICT code out of range");
-    o[i] = StringVal(bytes + offsets[c], offsets[c + 1] - offsets[c]);
-  }
-  return Status::OK();
-}
-
 // Codec dispatch over raw values — internal only; the public surface takes
 // Vectors so every call site shares one typed entry point.
 Result<CompressedSegment> EncodeValues(Codec codec, TypeId type,
@@ -412,6 +284,130 @@ Result<CompressedSegment> EncodeValues(Codec codec, TypeId type,
       return EncodePdict(type, values, n);
   }
   return Status::InvalidArgument("unknown codec");
+}
+
+// --- decode kernels ---------------------------------------------------------------
+
+// Values per stack block where decoded slots need a second pass (PFOR-DELTA
+// prefix sums, PDICT code checks).
+constexpr size_t kBlock = 256;
+
+inline uint32_t Load32(const uint8_t* p) {
+  uint32_t v;
+  std::memcpy(&v, p, 4);
+  return v;
+}
+
+inline uint64_t Load64(const uint8_t* p) {
+  uint64_t v;
+  std::memcpy(&v, p, 8);
+  return v;
+}
+
+inline uint64_t UnZigZag(int64_t slot) {
+  return static_cast<uint64_t>(bit::ZigZagDecode(static_cast<uint64_t>(slot)));
+}
+
+// Narrows the u64 bits of a stored value to physical type `t` at `dst`.
+void StoreBits(TypeId t, uint64_t v, uint8_t* dst) {
+  switch (t) {
+    case TypeId::kU8:
+      *dst = static_cast<uint8_t>(v);
+      return;
+    case TypeId::kI32: {
+      int32_t x = static_cast<int32_t>(v);
+      std::memcpy(dst, &x, 4);
+      return;
+    }
+    case TypeId::kI64:
+    case TypeId::kF64:
+      std::memcpy(dst, &v, 8);
+      return;
+    case TypeId::kStr:
+      break;
+  }
+}
+
+// The codec/type pairs the encoders produce; anything else in a footer or
+// segment is corruption.
+bool CodecAppliesTo(Codec codec, TypeId type) {
+  switch (codec) {
+    case Codec::kPlain:
+      return true;
+    case Codec::kPfor:
+    case Codec::kPforDelta:
+      return IsIntType(type);
+    case Codec::kRle:
+      return type != TypeId::kStr;
+    case Codec::kPdict:
+      return type == TypeId::kStr;
+  }
+  return false;
+}
+
+// Slot i of a run bit-packed at W bits. The word-aligned loads stay inside
+// the run: PackedSize pads it to whole words, and the second word is read
+// only when slot i straddles into it.
+template <int W>
+inline uint64_t SlotAt(const uint8_t* slots, size_t i) {
+  if constexpr (W == 0) {
+    return 0;
+  } else {
+    const size_t bitpos = i * W;
+    const uint8_t* word = slots + (bitpos >> 6) * 8;
+    const unsigned off = static_cast<unsigned>(bitpos & 63);
+    uint64_t v = Load64(word) >> off;
+    if constexpr (W > 1 && W < 64) {
+      if (off + W > 64) v |= Load64(word + 8) << (64 - off);
+    }
+    if constexpr (W == 64) {
+      return v;
+    } else {
+      return v & ((uint64_t{1} << W) - 1);
+    }
+  }
+}
+
+// Stores static_cast<T>(base + slot) for slots [begin, begin + n) of a run
+// packed at W bits, into out[0, n). The frame-of-reference add is unsigned,
+// so no base/slot pair can overflow. Whole groups of 64 slots (exactly W
+// words) are unrolled, which turns every shift and mask into a constant.
+template <int W, typename T>
+VWISE_HOT void UnpackSlots(const uint8_t* slots, size_t begin, size_t n,
+                           uint64_t base, T* out) {
+  size_t i = begin;
+  const size_t end = begin + n;
+  for (; i < end && (i & 63) != 0; i++) {
+    out[i - begin] = static_cast<T>(base + SlotAt<W>(slots, i));
+  }
+  for (; end - i >= 64; i += 64) {
+    const uint8_t* group = slots + (i >> 6) * (W * 8);
+    T* dst = out + (i - begin);
+#pragma GCC unroll 64
+    for (size_t j = 0; j < 64; j++) {
+      dst[j] = static_cast<T>(base + SlotAt<W>(group, j));
+    }
+  }
+  for (; i < end; i++) {
+    out[i - begin] = static_cast<T>(base + SlotAt<W>(slots, i));
+  }
+}
+
+template <typename T>
+using UnpackFn = void (*)(const uint8_t*, size_t, size_t, uint64_t, T*);
+
+template <typename T, size_t... W>
+constexpr std::array<UnpackFn<T>, sizeof...(W)> UnpackTable(
+    std::index_sequence<W...>) {
+  return {{&UnpackSlots<static_cast<int>(W), T>...}};
+}
+
+// The unpacker specialised for `width` (validated <= 64 at Open).
+template <typename T>
+UnpackFn<T> Unpacker(int width) {
+  static constexpr std::array<UnpackFn<T>, 65> kTable =
+      UnpackTable<T>(std::make_index_sequence<65>());
+  return kTable[static_cast<size_t>(width)];
 }
 
 }  // namespace
@@ -463,19 +459,13 @@ Status DecodeInto(const CompressedSegment& seg, Vector* out) {
 
 Status DecodeRaw(Codec codec, TypeId type, uint32_t count, const uint8_t* data,
                  size_t size, void* out, StringHeap* heap) {
-  Reader r(data, size);
-  switch (codec) {
-    case Codec::kPlain:
-      return DecodePlain(type, count, r, out, heap);
-    case Codec::kPfor:
-    case Codec::kPforDelta:
-      return DecodePfor(codec, type, count, r, out);
-    case Codec::kRle:
-      return DecodeRle(type, count, r, out);
-    case Codec::kPdict:
-      return DecodePdict(count, r, out, heap);
+  if (type == TypeId::kStr && heap == nullptr) {
+    return Status::InvalidArgument("string decode needs a heap");
   }
-  return Status::Corruption("unknown codec");
+  SegmentReader reader;
+  VWISE_RETURN_IF_ERROR(
+      reader.Open(codec, type, count, data, size, nullptr, heap));
+  return reader.Read(0, count, out);
 }
 
 Status DecodeDictRaw(TypeId type, uint32_t count, const uint8_t* data,
@@ -487,61 +477,372 @@ Status DecodeDictRaw(TypeId type, uint32_t count, const uint8_t* data,
   if (heap == nullptr) {
     return Status::InvalidArgument("string decode needs a heap");
   }
-  Reader r(data, size);
-  uint32_t dict_n;
-  VWISE_RETURN_IF_ERROR(r.Get(&dict_n));
-  std::vector<uint32_t> offsets(static_cast<size_t>(dict_n) + 1);
+  SegmentReader reader;
   VWISE_RETURN_IF_ERROR(
-      r.GetBytes(offsets.data(), (static_cast<size_t>(dict_n) + 1) * 4));
-  uint32_t total = offsets[dict_n];
+      reader.Open(Codec::kPdict, type, count, data, size, nullptr, heap));
+  const StringDict& dict = *reader.dict();
+  dict_vals->assign(dict.values, dict.values + dict.size);
+  return reader.ReadCodes(0, count, codes);
+}
+
+// --- SegmentReader ---------------------------------------------------------------
+
+Status SegmentReader::Open(Codec codec, TypeId type, uint32_t count,
+                           const uint8_t* data, size_t size,
+                           std::shared_ptr<const void> pin, StringHeap* heap) {
+  codec_ = codec;
+  type_ = type;
+  count_ = count;
+  data_ = data;
+  pin_ = std::move(pin);
+  packed_ = PackedRun();
+  base_ = 0;
+  exc_next_ = 0;
+  delta_row_ = 0;
+  delta_val_ = 0;
+  lens_ = nullptr;
+  bytes_ = nullptr;
+  str_row_ = 0;
+  str_off_ = 0;
+  run_ = 0;
+  // Dropped before the heap is picked, so a dictionary nothing else holds
+  // no longer pins the reader-owned heap.
+  dict_.reset();
+  if (type == TypeId::kStr) {
+    if (heap != nullptr) {
+      own_heap_.reset();
+    } else if (own_heap_ != nullptr && own_heap_.use_count() == 1) {
+      own_heap_->Reset();
+      heap = own_heap_.get();
+    } else {
+      own_heap_ = std::make_shared<StringHeap>();
+      heap = own_heap_.get();
+    }
+  }
+  ByteReader r(data, size);
+  Status st = Parse(&r, heap);
+  if (!st.ok()) count_ = 0;  // a failed Open leaves nothing readable
+  return st;
+}
+
+Status SegmentReader::Parse(ByteReader* r, StringHeap* heap) {
+  if (!CodecAppliesTo(codec_, type_)) {
+    return Status::Corruption("codec does not apply to the column type");
+  }
+  switch (codec_) {
+    case Codec::kPlain:
+      if (type_ != TypeId::kStr) {
+        return r->Skip(static_cast<size_t>(count_) * FixedWidth(type_));
+      }
+      return OpenPlainStrings(r, heap);
+    case Codec::kPfor:
+      if (count_ == 0) return Status::OK();
+      VWISE_RETURN_IF_ERROR(r->Get(&base_));
+      return ParsePacked(r, count_);
+    case Codec::kPforDelta:
+      if (count_ == 0) return Status::OK();
+      VWISE_RETURN_IF_ERROR(r->Get(&base_));
+      delta_val_ = base_;
+      return count_ > 1 ? ParsePacked(r, count_ - 1) : Status::OK();
+    case Codec::kRle:
+      return OpenRuns(r);
+    case Codec::kPdict:
+      return OpenDict(r, heap);
+  }
+  return Status::Corruption("unknown codec");
+}
+
+// Reads a PFOR core of `n` slots. Everything the later reads index by is
+// validated here, once per segment: the width, the exception count (checked
+// against `n` and the remaining bytes before anything depends on it) and
+// the exception positions (in range and strictly ascending, so one forward
+// cursor patches them).
+Status SegmentReader::ParsePacked(ByteReader* r, uint32_t n) {
+  uint8_t width = 0;
+  uint32_t n_exc = 0;
+  VWISE_RETURN_IF_ERROR(r->Get(&width));
+  VWISE_RETURN_IF_ERROR(r->Get(&n_exc));
+  if (width > 64) return Status::Corruption("bad PFOR width");
+  if (n_exc > n) return Status::Corruption("PFOR exception count exceeds values");
+  size_t packed = bit::PackedSize(n, width);
+  if (r->remaining() < packed) return Status::Corruption("PFOR packed data truncated");
+  packed_.width = width;
+  packed_.slots = r->cursor();
+  VWISE_RETURN_IF_ERROR(r->Skip(packed));
+  if (r->remaining() / kExceptionBytes < n_exc) {
+    return Status::Corruption("PFOR exceptions truncated");
+  }
+  packed_.n_exc = n_exc;
+  packed_.exc_pos = r->cursor();
+  packed_.exc_val = packed_.exc_pos + size_t{n_exc} * 4;
+  for (uint32_t e = 0; e < n_exc; e++) {
+    uint32_t pos = Load32(packed_.exc_pos + size_t{e} * 4);
+    if (pos >= n || (e > 0 && pos <= Load32(packed_.exc_pos + size_t{e - 1} * 4))) {
+      return Status::Corruption("bad PFOR exception position");
+    }
+  }
+  return r->Skip(size_t{n_exc} * kExceptionBytes);
+}
+
+Status SegmentReader::OpenPlainStrings(ByteReader* r, StringHeap* heap) {
+  uint32_t total = 0;
+  VWISE_RETURN_IF_ERROR(r->Get(&total));
+  if (r->remaining() / 4 < count_) {
+    return Status::Corruption("string lengths truncated");
+  }
+  lens_ = r->cursor();
+  VWISE_RETURN_IF_ERROR(r->Skip(static_cast<size_t>(count_) * 4));
+  uint64_t sum = 0;
+  for (uint32_t i = 0; i < count_; i++) sum += Load32(lens_ + size_t{i} * 4);
+  if (sum > total) return Status::Corruption("string lengths overflow");
+  if (r->remaining() < total) return Status::Corruption("string bytes truncated");
   char* bytes = heap->Reserve(total);
-  VWISE_RETURN_IF_ERROR(r.GetBytes(bytes, total));
-  dict_vals->clear();
-  dict_vals->reserve(dict_n);
+  if (total > 0) std::memcpy(bytes, r->cursor(), total);
+  bytes_ = bytes;
+  return r->Skip(total);
+}
+
+Status SegmentReader::OpenDict(ByteReader* r, StringHeap* heap) {
+  uint32_t dict_n = 0;
+  VWISE_RETURN_IF_ERROR(r->Get(&dict_n));
+  if (r->remaining() / 4 < size_t{dict_n} + 1) {
+    return Status::Corruption("PDICT offsets truncated");
+  }
+  const uint8_t* offsets = r->cursor();
+  VWISE_RETURN_IF_ERROR(r->Skip((size_t{dict_n} + 1) * 4));
+  uint32_t total = Load32(offsets + size_t{dict_n} * 4);
+  if (r->remaining() < total) return Status::Corruption("PDICT bytes truncated");
+  char* bytes = heap->Reserve(total);
+  if (total > 0) std::memcpy(bytes, r->cursor(), total);
+  VWISE_RETURN_IF_ERROR(r->Skip(total));
+  auto values = std::make_shared<std::vector<StringVal>>(dict_n);
   for (uint32_t i = 0; i < dict_n; i++) {
-    if (offsets[i] > offsets[i + 1] || offsets[i + 1] > total) {
+    uint32_t lo = Load32(offsets + size_t{i} * 4);
+    uint32_t hi = Load32(offsets + (size_t{i} + 1) * 4);
+    if (lo > hi || hi > total) {
       return Status::Corruption("PDICT offsets not ascending");
     }
-    dict_vals->emplace_back(bytes + offsets[i], offsets[i + 1] - offsets[i]);
+    (*values)[i] = StringVal(bytes + lo, hi - lo);
   }
-  std::vector<uint64_t> work(count);
-  VWISE_RETURN_IF_ERROR(DecodePforCore(&r, count, work.data()));
-  for (uint32_t i = 0; i < count; i++) {
-    if (work[i] >= dict_n) return Status::Corruption("PDICT code out of range");
-    codes[i] = static_cast<uint32_t>(work[i]);
+  VWISE_RETURN_IF_ERROR(ParsePacked(r, count_));
+  auto dict = std::make_shared<StringDict>();
+  dict->values = values->data();
+  dict->size = dict_n;
+  dict->heap = own_heap_;  // null when the caller supplied the heap
+  dict->keepalive = std::move(values);
+  dict_ = std::move(dict);
+  return Status::OK();
+}
+
+Status SegmentReader::OpenRuns(ByteReader* r) {
+  uint32_t n_runs = 0;
+  VWISE_RETURN_IF_ERROR(r->Get(&n_runs));
+  if (r->remaining() / kRunBytes < n_runs) {
+    return Status::Corruption("RLE runs truncated");
+  }
+  // Run arrays are shared with RLE views; reuse them once nothing else does.
+  if (rle_values_ == nullptr || rle_values_.use_count() > 1) {
+    rle_values_ = std::make_shared<std::vector<uint8_t>>();
+  }
+  if (rle_starts_ == nullptr || rle_starts_.use_count() > 1) {
+    rle_starts_ = std::make_shared<std::vector<uint32_t>>();
+  }
+  size_t w = FixedWidth(type_);
+  rle_values_->resize(static_cast<size_t>(n_runs) * w);
+  rle_starts_->resize(static_cast<size_t>(n_runs) + 1);
+  const uint8_t* p = r->cursor();
+  uint32_t row = 0;
+  for (uint32_t run = 0; run < n_runs; run++, p += kRunBytes) {
+    uint32_t len = Load32(p + 8);
+    if (len == 0) return Status::Corruption("empty RLE run");
+    if (len > count_ - row) return Status::Corruption("RLE overflow");
+    StoreBits(type_, Load64(p), rle_values_->data() + run * w);
+    (*rle_starts_)[run] = row;
+    row += len;
+  }
+  if (row != count_) return Status::Corruption("RLE underflow");
+  (*rle_starts_)[n_runs] = row;
+  return r->Skip(static_cast<size_t>(n_runs) * kRunBytes);
+}
+
+// Overwrites the exception slots among rows [begin, begin + n) of the
+// packed run with base + exception value. The cursor only moves forward; a
+// range starting before it rewinds to the first exception.
+template <typename T>
+VWISE_HOT void SegmentReader::Patch(size_t begin, size_t n, uint64_t base,
+                                    T* out) {
+  const PackedRun& p = packed_;
+  uint32_t e = exc_next_;
+  if (e > 0 && Load32(p.exc_pos + size_t{e - 1} * 4) >= begin) e = 0;
+  while (e < p.n_exc && Load32(p.exc_pos + size_t{e} * 4) < begin) e++;
+  for (; e < p.n_exc; e++) {
+    uint32_t pos = Load32(p.exc_pos + size_t{e} * 4);
+    if (pos >= begin + n) break;
+    out[pos - begin] = static_cast<T>(base + Load64(p.exc_val + size_t{e} * 8));
+  }
+  exc_next_ = e;
+}
+
+template <typename T>
+VWISE_HOT void SegmentReader::ReadPfor(size_t begin, size_t n, T* out) {
+  Unpacker<T>(packed_.width)(packed_.slots, begin, n, base_, out);
+  Patch(begin, n, base_, out);
+}
+
+// Applies the next `m` zigzag deltas to the running (row, value) prefix;
+// with `out`, stores each value reached. Deltas unpack a block at a time
+// into the stack, where their exceptions are patched before summing.
+template <typename T>
+VWISE_HOT void SegmentReader::WalkDeltas(size_t m, T* out) {
+  int64_t block[kBlock];
+  UnpackFn<int64_t> unpack = Unpacker<int64_t>(packed_.width);
+  uint64_t val = delta_val_;
+  size_t j = delta_row_;
+  while (m > 0) {
+    size_t b = std::min(m, kBlock);
+    unpack(packed_.slots, j, b, 0, block);
+    Patch(j, b, 0, block);
+    if (out == nullptr) {
+      for (size_t k = 0; k < b; k++) val += UnZigZag(block[k]);
+    } else {
+      for (size_t k = 0; k < b; k++) {
+        val += UnZigZag(block[k]);
+        out[k] = static_cast<T>(val);
+      }
+      out += b;
+    }
+    j += b;
+    m -= b;
+  }
+  delta_val_ = val;
+  delta_row_ = j;
+}
+
+template <typename T>
+VWISE_HOT void SegmentReader::ReadDelta(size_t begin, size_t n, T* out) {
+  if (begin < delta_row_) {
+    delta_row_ = 0;
+    delta_val_ = base_;
+    exc_next_ = 0;
+  }
+  WalkDeltas<T>(begin - delta_row_, nullptr);  // carry the prefix over
+  out[0] = static_cast<T>(delta_val_);
+  WalkDeltas<T>(n - 1, out + 1);
+}
+
+// Calls emit(k, code) for the codes of rows [begin, begin + n), each checked
+// against the dictionary size.
+template <typename Emit>
+VWISE_HOT Status SegmentReader::WalkCodes(size_t begin, size_t n, Emit emit) {
+  int64_t block[kBlock];
+  UnpackFn<int64_t> unpack = Unpacker<int64_t>(packed_.width);
+  const uint64_t dict_n = dict_->size;
+  for (size_t done = 0; done < n;) {
+    size_t b = std::min(n - done, kBlock);
+    unpack(packed_.slots, begin + done, b, 0, block);
+    Patch(begin + done, b, 0, block);
+    for (size_t k = 0; k < b; k++) {
+      uint64_t code = static_cast<uint64_t>(block[k]);
+      if (code >= dict_n) return Status::Corruption("PDICT code out of range");
+      emit(done + k, static_cast<uint32_t>(code));
+    }
+    done += b;
   }
   return Status::OK();
 }
 
-Status DecodeRleRuns(TypeId type, uint32_t count, const uint8_t* data,
-                     size_t size, std::vector<uint8_t>* run_values,
-                     std::vector<uint32_t>* run_starts) {
-  if (type == TypeId::kStr) {
-    return Status::InvalidArgument("RLE adoption requires a fixed-width type");
+template <typename T>
+VWISE_HOT void SegmentReader::ReadRuns(size_t begin, size_t n, T* out) {
+  const uint32_t* starts = rle_starts_->data();
+  const T* vals = reinterpret_cast<const T*>(rle_values_->data());
+  if (starts[run_] > begin) run_ = 0;
+  while (starts[run_ + 1] <= begin) run_++;
+  const size_t end = begin + n;
+  size_t row = begin;
+  while (true) {
+    size_t stop = std::min<size_t>(starts[run_ + 1], end);
+    std::fill(out + (row - begin), out + (stop - begin), vals[run_]);
+    row = stop;
+    if (row == end) break;
+    run_++;
   }
-  Reader r(data, size);
-  uint32_t n_runs;
-  VWISE_RETURN_IF_ERROR(r.Get(&n_runs));
-  size_t w = FixedWidth(type);
-  run_values->clear();
-  run_values->resize(static_cast<size_t>(n_runs) * w);
-  run_starts->clear();
-  run_starts->reserve(static_cast<size_t>(n_runs) + 1);
-  uint32_t row = 0;
-  for (uint32_t run = 0; run < n_runs; run++) {
-    uint64_t v;
-    uint32_t len;
-    VWISE_RETURN_IF_ERROR(r.Get(&v));
-    VWISE_RETURN_IF_ERROR(r.Get(&len));
-    if (len == 0) return Status::Corruption("empty RLE run");
-    if (len > count - row) return Status::Corruption("RLE overflow");
-    StoreInt(type, run_values->data(), run, v);
-    run_starts->push_back(row);
-    row += len;
+}
+
+VWISE_HOT void SegmentReader::ReadPlainStrings(size_t begin, size_t n,
+                                               StringVal* out) {
+  if (begin < str_row_) {
+    str_row_ = 0;
+    str_off_ = 0;
   }
-  if (row != count) return Status::Corruption("RLE underflow");
-  run_starts->push_back(row);
-  return Status::OK();
+  size_t off = str_off_;
+  for (size_t i = str_row_; i < begin; i++) off += Load32(lens_ + i * 4);
+  for (size_t k = 0; k < n; k++) {
+    uint32_t len = Load32(lens_ + (begin + k) * 4);
+    out[k] = StringVal(bytes_ + off, len);
+    off += len;
+  }
+  str_row_ = begin + n;
+  str_off_ = off;
+}
+
+VWISE_HOT Status SegmentReader::Read(size_t begin, size_t n, void* out) {
+  if (n == 0) return Status::OK();
+  if (begin > count_ || n > count_ - begin) {
+    return Status::Corruption("read past the segment end");
+  }
+  switch (codec_) {
+    case Codec::kPlain:
+      if (type_ == TypeId::kStr) {
+        ReadPlainStrings(begin, n, static_cast<StringVal*>(out));
+      } else {
+        size_t w = FixedWidth(type_);
+        std::memcpy(out, data_ + begin * w, n * w);
+      }
+      return Status::OK();
+    case Codec::kPfor:
+      VisitType(type_, [&](auto tag) {
+        using T = decltype(tag);
+        if constexpr (std::is_integral_v<T>) {
+          ReadPfor(begin, n, static_cast<T*>(out));
+        }
+      });
+      return Status::OK();
+    case Codec::kPforDelta:
+      VisitType(type_, [&](auto tag) {
+        using T = decltype(tag);
+        if constexpr (std::is_integral_v<T>) {
+          ReadDelta(begin, n, static_cast<T*>(out));
+        }
+      });
+      return Status::OK();
+    case Codec::kRle:
+      VisitType(type_, [&](auto tag) {
+        using T = decltype(tag);
+        if constexpr (!std::is_same_v<T, StringVal>) {
+          ReadRuns(begin, n, static_cast<T*>(out));
+        }
+      });
+      return Status::OK();
+    case Codec::kPdict: {
+      StringVal* o = static_cast<StringVal*>(out);
+      const StringVal* values = dict_->values;
+      return WalkCodes(begin, n,
+                       [&](size_t k, uint32_t code) { o[k] = values[code]; });
+    }
+  }
+  return Status::Corruption("unknown codec");
+}
+
+VWISE_HOT Status SegmentReader::ReadCodes(size_t begin, size_t n,
+                                          uint32_t* out) {
+  if (codec_ != Codec::kPdict) {
+    return Status::InvalidArgument("ReadCodes needs a PDICT segment");
+  }
+  if (n == 0) return Status::OK();
+  if (begin > count_ || n > count_ - begin) {
+    return Status::Corruption("read past the segment end");
+  }
+  return WalkCodes(begin, n, [&](size_t k, uint32_t code) { out[k] = code; });
 }
 
 }  // namespace vwise::compression

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
+#include <type_traits>
 
 #include "common/bitutil.h"
 #include "exec/key_hash.h"
@@ -13,39 +14,6 @@ namespace vwise {
 namespace {
 
 constexpr uint32_t kEmptySlot = 0xffffffffu;
-
-// Numeric value of column `vec` at `pos` widened to double / int64.
-double F64At(const Vector& vec, sel_t pos) {
-  switch (vec.type()) {
-    case TypeId::kU8:
-      return vec.Data<uint8_t>()[pos];
-    case TypeId::kI32:
-      return vec.Data<int32_t>()[pos];
-    case TypeId::kI64:
-      return static_cast<double>(vec.Data<int64_t>()[pos]);
-    case TypeId::kF64:
-      return vec.Data<double>()[pos];
-    case TypeId::kStr:
-      break;
-  }
-  return 0;
-}
-
-int64_t I64At(const Vector& vec, sel_t pos) {
-  switch (vec.type()) {
-    case TypeId::kU8:
-      return vec.Data<uint8_t>()[pos];
-    case TypeId::kI32:
-      return vec.Data<int32_t>()[pos];
-    case TypeId::kI64:
-      return vec.Data<int64_t>()[pos];
-    case TypeId::kF64:
-      return static_cast<int64_t>(vec.Data<double>()[pos]);
-    case TypeId::kStr:
-      break;
-  }
-  return 0;
-}
 
 bool IntFamily(TypeId t) {
   return t == TypeId::kU8 || t == TypeId::kI32 || t == TypeId::kI64;
@@ -80,41 +48,6 @@ AggLane LaneOf(AggSpec::Fn fn, TypeId in) {
       return {false, true, TypeId::kF64};
   }
   return {true, false, TypeId::kI64};
-}
-
-// Run-value readers over an RLE vector (compressed execution): the global-
-// aggregate fast path folds value x run_length per run instead of touching
-// every tuple.
-int64_t RleRunI64(const Vector& v, uint32_t r) {
-  switch (v.type()) {
-    case TypeId::kU8:
-      return v.rle_values<uint8_t>()[r];
-    case TypeId::kI32:
-      return v.rle_values<int32_t>()[r];
-    case TypeId::kI64:
-      return v.rle_values<int64_t>()[r];
-    case TypeId::kF64:
-      return static_cast<int64_t>(v.rle_values<double>()[r]);
-    case TypeId::kStr:
-      break;
-  }
-  return 0;
-}
-
-double RleRunF64(const Vector& v, uint32_t r) {
-  switch (v.type()) {
-    case TypeId::kU8:
-      return v.rle_values<uint8_t>()[r];
-    case TypeId::kI32:
-      return v.rle_values<int32_t>()[r];
-    case TypeId::kI64:
-      return static_cast<double>(v.rle_values<int64_t>()[r]);
-    case TypeId::kF64:
-      return v.rle_values<double>()[r];
-    case TypeId::kStr:
-      break;
-  }
-  return 0;
 }
 
 }  // namespace
@@ -275,111 +208,121 @@ VWISE_HOT Status HashAggOperator::ProcessChunk(DataChunk& chunk) {
     sel_t pos = sel ? sel[i] : static_cast<sel_t>(i);
     groups[i] = FindOrCreateGroup(chunk, pos, hashes[i], group_cols_);
   }
-  // 3. Per-aggregate update loops.
+  // 3. Per-aggregate update loops: one type dispatch per aggregate column,
+  // then loops over its typed values. Inputs widen to the lane by
+  // static_cast (i32 to f64, f64 to i64, ...) and accumulate in row order.
   for (size_t a = 0; a < aggs_.size(); a++) {
     AggState& st = states_[a];
     const AggSpec& spec = aggs_[a];
-    bool is_i64 = layout_[a].is_i64;
-    switch (spec.fn) {
-      case AggSpec::Fn::kSum: {
-        const Vector& in = chunk.column(spec.col);
+    if (spec.fn == AggSpec::Fn::kCount || spec.fn == AggSpec::Fn::kCountStar) {
+      for (size_t i = 0; i < n; i++) st.i64[groups[i]]++;
+      continue;
+    }
+    const Vector& in = chunk.column(spec.col);
+    const bool is_i64 = layout_[a].is_i64;
+    const bool is_min = spec.fn == AggSpec::Fn::kMin;
+    VisitType(in.type(), [&](auto tag) {
+      using T = decltype(tag);
+      if constexpr (!std::is_same_v<T, StringVal>) {
         if (in.repr() == VectorRepr::kRle) {
           // Per-run fold: every row is in the single global group (the
           // normalize pass above leaves RLE in place only then).
-          uint32_t g = groups[0];
+          const T* vals = in.rle_values<T>();
           const uint32_t* starts = in.rle_starts();
-          uint32_t m = in.rle_runs();
-          if (is_i64) {
-            for (uint32_t r = 0; r < m; r++) {
-              st.i64[g] += RleRunI64(in, r) *
-                           static_cast<int64_t>(starts[r + 1] - starts[r]);
-            }
-          } else {
-            for (uint32_t r = 0; r < m; r++) {
-              st.f64[g] += RleRunF64(in, r) * (starts[r + 1] - starts[r]);
-            }
+          const uint32_t m = in.rle_runs();
+          const uint32_t g = groups[0];
+          switch (spec.fn) {
+            case AggSpec::Fn::kSum:
+              if (is_i64) {
+                for (uint32_t r = 0; r < m; r++) {
+                  st.i64[g] += static_cast<int64_t>(vals[r]) *
+                               static_cast<int64_t>(starts[r + 1] - starts[r]);
+                }
+              } else {
+                for (uint32_t r = 0; r < m; r++) {
+                  st.f64[g] +=
+                      static_cast<double>(vals[r]) * (starts[r + 1] - starts[r]);
+                }
+              }
+              break;
+            case AggSpec::Fn::kMin:
+            case AggSpec::Fn::kMax:
+              for (uint32_t r = 0; r < m; r++) {
+                if (!is_i64) {
+                  double v = static_cast<double>(vals[r]);
+                  if (!st.count[g] || (is_min ? v < st.f64[g] : v > st.f64[g])) {
+                    st.f64[g] = v;
+                  }
+                } else {
+                  int64_t v = static_cast<int64_t>(vals[r]);
+                  if (!st.count[g] || (is_min ? v < st.i64[g] : v > st.i64[g])) {
+                    st.i64[g] = v;
+                  }
+                }
+                st.count[g] = 1;
+              }
+              break;
+            case AggSpec::Fn::kAvg:
+              for (uint32_t r = 0; r < m; r++) {
+                st.f64[g] +=
+                    static_cast<double>(vals[r]) * (starts[r + 1] - starts[r]);
+              }
+              st.count[g] += n;
+              break;
+            case AggSpec::Fn::kCount:
+            case AggSpec::Fn::kCountStar:
+              break;
           }
-          break;
+          return;
         }
-        if (is_i64) {
-          for (size_t i = 0; i < n; i++) {
-            sel_t pos = sel ? sel[i] : static_cast<sel_t>(i);
-            st.i64[groups[i]] += I64At(in, pos);
-          }
-        } else {
-          for (size_t i = 0; i < n; i++) {
-            sel_t pos = sel ? sel[i] : static_cast<sel_t>(i);
-            st.f64[groups[i]] += F64At(in, pos);
-          }
-        }
-        break;
-      }
-      case AggSpec::Fn::kMin:
-      case AggSpec::Fn::kMax: {
-        const Vector& in = chunk.column(spec.col);
-        bool is_min = spec.fn == AggSpec::Fn::kMin;
-        if (in.repr() == VectorRepr::kRle) {
-          uint32_t g = groups[0];
-          uint32_t m = in.rle_runs();
-          for (uint32_t r = 0; r < m; r++) {
-            if (!is_i64) {
-              double v = RleRunF64(in, r);
-              if (!st.count[g] || (is_min ? v < st.f64[g] : v > st.f64[g])) {
-                st.f64[g] = v;
+        const T* vals = in.Data<T>();
+        switch (spec.fn) {
+          case AggSpec::Fn::kSum:
+            if (is_i64) {
+              for (size_t i = 0; i < n; i++) {
+                sel_t pos = sel ? sel[i] : static_cast<sel_t>(i);
+                st.i64[groups[i]] += static_cast<int64_t>(vals[pos]);
               }
             } else {
-              int64_t v = RleRunI64(in, r);
-              if (!st.count[g] || (is_min ? v < st.i64[g] : v > st.i64[g])) {
-                st.i64[g] = v;
+              for (size_t i = 0; i < n; i++) {
+                sel_t pos = sel ? sel[i] : static_cast<sel_t>(i);
+                st.f64[groups[i]] += static_cast<double>(vals[pos]);
               }
             }
-            st.count[g] = 1;
-          }
-          break;
-        }
-        for (size_t i = 0; i < n; i++) {
-          sel_t pos = sel ? sel[i] : static_cast<sel_t>(i);
-          uint32_t g = groups[i];
-          if (!is_i64) {
-            double v = F64At(in, pos);
-            if (!st.count[g] || (is_min ? v < st.f64[g] : v > st.f64[g])) {
-              st.f64[g] = v;
+            break;
+          case AggSpec::Fn::kMin:
+          case AggSpec::Fn::kMax:
+            for (size_t i = 0; i < n; i++) {
+              sel_t pos = sel ? sel[i] : static_cast<sel_t>(i);
+              uint32_t g = groups[i];
+              if (!is_i64) {
+                double v = static_cast<double>(vals[pos]);
+                if (!st.count[g] || (is_min ? v < st.f64[g] : v > st.f64[g])) {
+                  st.f64[g] = v;
+                }
+              } else {
+                int64_t v = static_cast<int64_t>(vals[pos]);
+                if (!st.count[g] || (is_min ? v < st.i64[g] : v > st.i64[g])) {
+                  st.i64[g] = v;
+                }
+              }
+              st.count[g] = 1;
             }
-          } else {
-            int64_t v = I64At(in, pos);
-            if (!st.count[g] || (is_min ? v < st.i64[g] : v > st.i64[g])) {
-              st.i64[g] = v;
+            break;
+          case AggSpec::Fn::kAvg:
+            for (size_t i = 0; i < n; i++) {
+              sel_t pos = sel ? sel[i] : static_cast<sel_t>(i);
+              uint32_t g = groups[i];
+              st.f64[g] += static_cast<double>(vals[pos]);
+              st.count[g]++;
             }
-          }
-          st.count[g] = 1;
+            break;
+          case AggSpec::Fn::kCount:
+          case AggSpec::Fn::kCountStar:
+            break;
         }
-        break;
       }
-      case AggSpec::Fn::kCount:
-      case AggSpec::Fn::kCountStar:
-        for (size_t i = 0; i < n; i++) st.i64[groups[i]]++;
-        break;
-      case AggSpec::Fn::kAvg: {
-        const Vector& in = chunk.column(spec.col);
-        if (in.repr() == VectorRepr::kRle) {
-          uint32_t g = groups[0];
-          const uint32_t* starts = in.rle_starts();
-          uint32_t m = in.rle_runs();
-          for (uint32_t r = 0; r < m; r++) {
-            st.f64[g] += RleRunF64(in, r) * (starts[r + 1] - starts[r]);
-          }
-          st.count[g] += n;
-          break;
-        }
-        for (size_t i = 0; i < n; i++) {
-          sel_t pos = sel ? sel[i] : static_cast<sel_t>(i);
-          uint32_t g = groups[i];
-          st.f64[g] += F64At(in, pos);
-          st.count[g]++;
-        }
-        break;
-      }
-    }
+    });
   }
   return Status::OK();
 }

@@ -1,7 +1,6 @@
 #include "exec/scan.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "service/query_context.h"
 
@@ -36,13 +35,9 @@ void StoreValue(Vector* vec, size_t pos, const Value& v, StringHeap* heap) {
   }
 }
 
-// Copies `count` values starting at decoded position `src_off` into `vec`
-// at `dst_off`.
-void CopyRun(const DecodedColumn& col, size_t src_off, Vector* vec,
-             size_t dst_off, size_t count) {
-  size_t w = TypeWidth(col.type);
-  std::memcpy(static_cast<uint8_t*>(vec->raw()) + dst_off * w,
-              col.values->data() + src_off * w, count * w);
+// Address of position `pos` of flat vector `vec`.
+void* Slot(Vector* vec, size_t pos) {
+  return static_cast<uint8_t*>(vec->raw()) + pos * TypeWidth(vec->type());
 }
 
 }  // namespace
@@ -94,7 +89,7 @@ Status ScanOperator::OpenImpl() {
   tail_done_ = false;
   in_stripe_ = false;
   stripes_read_ = 0;
-  decoded_.resize(columns_.size());
+  cols_.resize(columns_.size());
   insert_heap_ = std::make_shared<StringHeap>();
   // Encoded adoption is only sound when every emitted row comes verbatim
   // from a stable stripe: delta merging (updates/inserts) writes through the
@@ -131,8 +126,23 @@ Status ScanOperator::AdvanceStripe(bool* done) {
     return Status::OK();
   }
   for (size_t i = 0; i < columns_.size(); i++) {
-    VWISE_RETURN_IF_ERROR(snap_.stable->ReadStripeColumn(
-        stripe, columns_[i], &decoded_[i], encoded_ok_));
+    ColumnCursor& col = cols_[i];
+    VWISE_RETURN_IF_ERROR(
+        snap_.stable->OpenSegment(stripe, columns_[i], &col.reader));
+    col.repr = VectorRepr::kFlat;
+    col.dict_codes.reset();
+    if (!encoded_ok_) continue;
+    // Adopt PDICT and RLE segments in their storage encoding: codes for the
+    // stripe, or the reader's run arrays, sliced per chunk after the merge.
+    if (col.reader.codec() == Codec::kPdict) {
+      uint32_t n = col.reader.count();
+      col.repr = VectorRepr::kDict;
+      col.dict_codes = Buffer::Allocate(static_cast<size_t>(n) * 4);
+      VWISE_RETURN_IF_ERROR(
+          col.reader.ReadCodes(0, n, col.dict_codes->As<uint32_t>()));
+    } else if (col.reader.codec() == Codec::kRle) {
+      col.repr = VectorRepr::kRle;
+    }
   }
   stripes_read_++;
   uint64_t first = snap_.stable->stripe_first_row(stripe);
@@ -177,8 +187,8 @@ Status ScanOperator::Next(DataChunk* out) {
     // Attach the heaps backing any strings this chunk may reference.
     for (size_t i = 0; i < columns_.size(); i++) {
       if (out_types_[i] != TypeId::kStr) continue;
-      if (stripe_has_columns_ && decoded_[i].heap) {
-        out->column(i).AddStringHeapRef(decoded_[i].heap);
+      if (stripe_has_columns_ && cols_[i].reader.string_heap()) {
+        out->column(i).AddStringHeapRef(cols_[i].reader.string_heap());
       }
       out->column(i).AddStringHeapRef(insert_heap_);
     }
@@ -190,9 +200,10 @@ Status ScanOperator::Next(DataChunk* out) {
           if (chunk_begin == SIZE_MAX) chunk_begin = local;
           for (size_t i = 0; i < columns_.size(); i++) {
             // Encoded columns are published as views after the merge loop
-            // instead of being copied per row.
-            if (decoded_[i].repr == VectorRepr::kFlat) {
-              CopyRun(decoded_[i], local, &out->column(i), filled, ev.count);
+            // instead of being decoded.
+            if (cols_[i].repr == VectorRepr::kFlat) {
+              VWISE_RETURN_IF_ERROR(cols_[i].reader.Read(
+                  local, ev.count, Slot(&out->column(i), filled)));
             }
           }
           filled += ev.count;
@@ -201,7 +212,8 @@ Status ScanOperator::Next(DataChunk* out) {
         case Pdt::MergeEvent::kModifiedRow: {
           size_t local = static_cast<size_t>(ev.sid - stripe_first_row_);
           for (size_t i = 0; i < columns_.size(); i++) {
-            CopyRun(decoded_[i], local, &out->column(i), filled, 1);
+            VWISE_RETURN_IF_ERROR(
+                cols_[i].reader.Read(local, 1, Slot(&out->column(i), filled)));
             auto it = ev.rec->mods.find(columns_[i]);
             if (it != ev.rec->mods.end()) {
               StoreValue(&out->column(i), filled, it->second, insert_heap_.get());
@@ -227,19 +239,19 @@ Status ScanOperator::Next(DataChunk* out) {
   }
   if (filled > 0) {
     for (size_t i = 0; i < columns_.size(); i++) {
-      const DecodedColumn& col = decoded_[i];
+      const ColumnCursor& col = cols_[i];
       if (!stripe_has_columns_ || col.repr == VectorRepr::kFlat) {
         repr_stats_.flat_cols++;
         continue;
       }
       VWISE_DCHECK(chunk_begin != SIZE_MAX);
-      VWISE_DCHECK(chunk_begin + filled <= col.count);
+      VWISE_DCHECK(chunk_begin + filled <= col.reader.count());
       if (col.repr == VectorRepr::kDict) {
         out->column(i).SetDict(col.dict_codes->As<uint32_t>() + chunk_begin,
-                               col.dict, col.dict_codes);
+                               col.reader.dict(), col.dict_codes);
         repr_stats_.dict_cols++;
       } else {
-        PublishRleRange(col, chunk_begin, filled, &rle_views_[i],
+        PublishRleRange(col.reader, chunk_begin, filled, &rle_views_[i],
                         &out->column(i));
         repr_stats_.rle_cols++;
       }
@@ -252,10 +264,11 @@ Status ScanOperator::Next(DataChunk* out) {
 // Slices the stripe's runs down to the chunk range [begin, begin + n) and
 // publishes them on `out_vec`, rebased so starts[0] == 0 and
 // starts[n_runs] == n (the chunk-local run contract, vector.h).
-void ScanOperator::PublishRleRange(const DecodedColumn& col, size_t begin,
-                                   size_t n, std::shared_ptr<RleView>* scratch,
+void ScanOperator::PublishRleRange(const compression::SegmentReader& reader,
+                                   size_t begin, size_t n,
+                                   std::shared_ptr<RleView>* scratch,
                                    Vector* out_vec) {
-  const std::vector<uint32_t>& starts = *col.rle_starts;
+  const std::vector<uint32_t>& starts = *reader.rle_starts();
   // First and last run overlapping the range: the largest r with
   // starts[r] <= row (starts is ascending, starts.front() == 0).
   size_t r0 = static_cast<size_t>(std::upper_bound(starts.begin(), starts.end(),
@@ -274,7 +287,7 @@ void ScanOperator::PublishRleRange(const DecodedColumn& col, size_t begin,
     *scratch = std::make_shared<RleView>();
   }
   RleView& view = **scratch;
-  view.values = col.rle_values;
+  view.values = reader.rle_values();
   // vwise-hotpath: allow(alloc): capacity persists across chunks, bounded by
   // runs per vector
   view.starts.resize(m + 1);
@@ -283,7 +296,7 @@ void ScanOperator::PublishRleRange(const DecodedColumn& col, size_t begin,
     view.starts[k] = starts[r0 + k] - static_cast<uint32_t>(begin);
   }
   view.starts[m] = static_cast<uint32_t>(n);
-  out_vec->SetRle(col.rle_values->data() + r0 * TypeWidth(col.type),
+  out_vec->SetRle(view.values->data() + r0 * TypeWidth(reader.type()),
                   view.starts.data(), static_cast<uint32_t>(m), *scratch);
 }
 
@@ -293,7 +306,7 @@ void ScanOperator::Close() {
     sched_handle_.reset();
   }
   merge_.reset();
-  decoded_.clear();
+  cols_.clear();
   rle_views_.clear();
 }
 

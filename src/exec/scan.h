@@ -4,6 +4,7 @@
 #include <memory>
 #include <vector>
 
+#include "compression/codec.h"
 #include "exec/operator.h"
 #include "scan/scan_scheduler.h"
 #include "txn/transaction_manager.h"
@@ -20,9 +21,11 @@ struct ScanRange {
   int64_t hi;
 };
 
-// Vectorized table scan: decodes column stripes (through the buffer manager
-// and, optionally, a cooperative-scan scheduler) and merges in PDT deltas by
-// position. Emits dense chunks; a chunk never spans stripes.
+// Vectorized table scan: opens one segment reader per column and stripe
+// (through the buffer manager and, optionally, a cooperative-scan
+// scheduler), merges in PDT deltas by position and decodes each stable run
+// straight into the output vectors. Emits dense chunks; a chunk never spans
+// stripes.
 class ScanOperator final : public Operator {
  public:
   struct Options {
@@ -73,11 +76,22 @@ class ScanOperator final : public Operator {
     std::vector<uint32_t> starts;
   };
 
+  // One projected column of the current stripe: its segment reader (which
+  // pins the blob) and, under compressed execution, the encoding adopted
+  // for it. kFlat columns decode per merge event straight into the output
+  // vector; kDict/kRle columns are published as views after the merge loop.
+  struct ColumnCursor {
+    compression::SegmentReader reader;
+    VectorRepr repr = VectorRepr::kFlat;
+    std::shared_ptr<Buffer> dict_codes;  // kDict: the stripe's codes
+  };
+
   Status OpenImpl() override;
   Status AdvanceStripe(bool* done);
   bool StripeQualifies(size_t stripe) const;
-  void PublishRleRange(const DecodedColumn& col, size_t begin, size_t n,
-                       std::shared_ptr<RleView>* scratch, Vector* out_vec);
+  void PublishRleRange(const compression::SegmentReader& reader, size_t begin,
+                       size_t n, std::shared_ptr<RleView>* scratch,
+                       Vector* out_vec);
 
   TableSnapshot snap_;
   std::vector<uint32_t> columns_;
@@ -92,7 +106,7 @@ class ScanOperator final : public Operator {
   bool tail_done_ = false;       // trailing inserts handled (or not owned)
   bool virtual_tail_pending_ = false;
 
-  std::vector<DecodedColumn> decoded_;
+  std::vector<ColumnCursor> cols_;
   std::unique_ptr<Pdt::MergeScanner> merge_;
   uint64_t stripe_first_row_ = 0;
   bool in_stripe_ = false;

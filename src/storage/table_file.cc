@@ -379,8 +379,8 @@ Result<std::unique_ptr<TableFile>> TableFile::Open(const std::string& path,
   return tf;
 }
 
-Status TableFile::ReadStripeColumn(size_t stripe, uint32_t col,
-                                   DecodedColumn* out, bool allow_encoded) {
+Status TableFile::OpenSegment(size_t stripe, uint32_t col,
+                              compression::SegmentReader* reader) const {
   if (stripe >= stripes_.size() || col >= schema_.num_columns()) {
     return Status::InvalidArgument("stripe/column out of range");
   }
@@ -388,52 +388,26 @@ Status TableFile::ReadStripeColumn(size_t stripe, uint32_t col,
   const SegmentInfo& seg = si.segments[col];
   uint32_t g = col_to_group_[col];
   VWISE_ASSIGN_OR_RETURN(
-      auto blob, buffers_->Fetch(file_.get(), si.group_offset[g],
-                                 si.group_size[g], &si.group_crc[g]));
+      std::shared_ptr<Buffer> blob,
+      buffers_->Fetch(file_.get(), si.group_offset[g], si.group_size[g],
+                      &si.group_crc[g]));
   if (seg.offset_in_blob + static_cast<uint64_t>(seg.size) > blob->capacity()) {
     return Status::Corruption("segment exceeds blob");
   }
-  TypeId t = schema_.column(col).type.physical();
-  out->type = t;
-  out->count = seg.count;
-  out->values.reset();
-  out->heap.reset();
-  out->repr = VectorRepr::kFlat;
-  out->dict_codes.reset();
-  out->dict.reset();
-  out->rle_values.reset();
-  out->rle_starts.reset();
   const uint8_t* data = blob->data() + seg.offset_in_blob;
+  return reader->Open(seg.codec, schema_.column(col).type.physical(), seg.count,
+                      data, seg.size, std::move(blob));
+}
 
-  if (allow_encoded && seg.codec == Codec::kPdict) {
-    out->repr = VectorRepr::kDict;
-    out->dict_codes = Buffer::Allocate(static_cast<size_t>(seg.count) * 4);
-    out->heap = std::make_shared<StringHeap>();
-    auto dict_vals = std::make_shared<std::vector<StringVal>>();
-    VWISE_RETURN_IF_ERROR(compression::DecodeDictRaw(
-        t, seg.count, data, seg.size, out->dict_codes->As<uint32_t>(),
-        dict_vals.get(), out->heap.get()));
-    auto dict = std::make_shared<StringDict>();
-    dict->values = dict_vals->data();
-    dict->size = static_cast<uint32_t>(dict_vals->size());
-    dict->heap = out->heap;
-    dict->keepalive = dict_vals;
-    out->dict = dict;
-    return Status::OK();
-  }
-  if (allow_encoded && seg.codec == Codec::kRle) {
-    out->repr = VectorRepr::kRle;
-    out->rle_values = std::make_shared<std::vector<uint8_t>>();
-    out->rle_starts = std::make_shared<std::vector<uint32_t>>();
-    return compression::DecodeRleRuns(t, seg.count, data, seg.size,
-                                      out->rle_values.get(),
-                                      out->rle_starts.get());
-  }
-
-  out->values = Buffer::Allocate(static_cast<size_t>(seg.count) * TypeWidth(t));
-  out->heap = t == TypeId::kStr ? std::make_shared<StringHeap>() : nullptr;
-  return compression::DecodeRaw(seg.codec, t, seg.count, data, seg.size,
-                                out->values->data(), out->heap.get());
+Status TableFile::ReadStripeColumn(size_t stripe, uint32_t col,
+                                   DecodedColumn* out) const {
+  compression::SegmentReader reader;
+  VWISE_RETURN_IF_ERROR(OpenSegment(stripe, col, &reader));
+  out->type = reader.type();
+  out->count = reader.count();
+  out->values = Buffer::Allocate(out->count * TypeWidth(out->type));
+  out->heap = reader.string_heap();
+  return reader.Read(0, out->count, out->values->data());
 }
 
 bool TableFile::StripeOverlapsRange(size_t stripe, uint32_t col, int64_t lo,

@@ -83,26 +83,14 @@ class TableWriter {
   bool finished_ = false;
 };
 
-// A decoded column of one stripe: `count` values plus the heap owning any
-// string bytes. Under compressed execution (ReadStripeColumn with
-// allow_encoded) the column may instead stay in its storage encoding:
-// `repr` then says which of the encoded members carry the data, `values`
-// remains unallocated, and the scan publishes chunk-local views straight
-// into the executor (DESIGN.md §12).
+// A whole decoded column of one stripe: `count` values plus the heap owning
+// any string bytes (checkpoint and tests; the scan decodes per vector
+// through OpenSegment instead).
 struct DecodedColumn {
   TypeId type = TypeId::kI64;
   size_t count = 0;
   std::shared_ptr<Buffer> values;
   std::shared_ptr<StringHeap> heap;
-
-  VectorRepr repr = VectorRepr::kFlat;
-  // kDict: per-row codes plus the shared dictionary (values in dict->heap).
-  std::shared_ptr<Buffer> dict_codes;  // uint32_t per row
-  std::shared_ptr<const StringDict> dict;
-  // kRle: run values (TypeWidth(type) bytes each) and run start offsets
-  // (n_runs + 1 entries, last == count), both shared with chunk views.
-  std::shared_ptr<std::vector<uint8_t>> rle_values;
-  std::shared_ptr<std::vector<uint32_t>> rle_starts;
 
   template <typename T>
   const T* Data() const {
@@ -132,13 +120,15 @@ class TableFile {
     return stripes_[stripe].group_offset[group];
   }
 
-  // Decodes column `col` of stripe `stripe` (fetching its group blob through
-  // the buffer manager). With `allow_encoded`, PDICT and RLE segments are
-  // adopted in their storage encoding (codes/runs only — no per-row value
-  // materialization) instead of being decoded flat; other codecs still
-  // decode eagerly.
-  Status ReadStripeColumn(size_t stripe, uint32_t col, DecodedColumn* out,
-                          bool allow_encoded = false);
+  // Opens `reader` on column `col` of stripe `stripe`: fetches the group
+  // blob through the buffer manager, pins it in the reader and validates the
+  // segment header. String bytes go to the reader's own heap.
+  Status OpenSegment(size_t stripe, uint32_t col,
+                     compression::SegmentReader* reader) const;
+
+  // Decodes the whole of column `col` of stripe `stripe`: OpenSegment plus
+  // one Read over every row.
+  Status ReadStripeColumn(size_t stripe, uint32_t col, DecodedColumn* out) const;
 
   // True if the stripe might contain values of `col` within [lo, hi]
   // (integer-family columns only; returns true when unknown).

@@ -1,6 +1,9 @@
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -210,12 +213,13 @@ TEST(RleTest, RunsOnlyAdoptionMatchesFlatDecode) {
   }
   auto seg = EncodeVec(Codec::kRle, TypeId::kI64, in);
   ASSERT_TRUE(seg.ok());
-  std::vector<uint8_t> run_values;
-  std::vector<uint32_t> run_starts;
-  ASSERT_TRUE(compression::DecodeRleRuns(TypeId::kI64, seg->count,
-                                         seg->data.data(), seg->data.size(),
-                                         &run_values, &run_starts)
+  compression::SegmentReader reader;
+  ASSERT_TRUE(reader
+                  .Open(seg->codec, seg->type, seg->count, seg->data.data(),
+                        seg->data.size())
                   .ok());
+  const std::vector<uint8_t>& run_values = *reader.rle_values();
+  const std::vector<uint32_t>& run_starts = *reader.rle_starts();
   ASSERT_EQ(run_starts.size(), run_values.size() / 8 + 1);
   EXPECT_EQ(run_starts.front(), 0u);
   EXPECT_EQ(run_starts.back(), in.size());
@@ -288,6 +292,39 @@ TEST(SegmentTest, ByteSizeCountsTheSerializedFooterRecord) {
             seg->data.size() + CompressedSegment::kFooterRecordBytes);
 }
 
+// A PFOR exception count is checked against the value count and the bytes
+// left before anything is sized from it: a corrupt count fails cleanly
+// instead of asking for tens of gigabytes.
+TEST(CorruptionTest, ExceptionCountBeyondValuesIsCorruption) {
+  std::vector<int64_t> in;
+  for (int i = 0; i < 200; i++) in.push_back(i % 50 == 3 ? (int64_t{1} << 45) : i % 9);
+  for (Codec c : {Codec::kPfor, Codec::kPforDelta}) {
+    SCOPED_TRACE(CodecToString(c));
+    auto seg = EncodeVec(c, TypeId::kI64, in);
+    ASSERT_TRUE(seg.ok());
+    // Layout: base (PFOR) or first value (PFOR-DELTA) u64, width u8, n_exc.
+    constexpr size_t kExcCountAt = 8 + 1;
+    uint32_t n_exc = 0;
+    std::memcpy(&n_exc, seg->data.data() + kExcCountAt, 4);
+    ASSERT_GT(n_exc, 0u);
+    uint32_t n = c == Codec::kPfor ? seg->count : seg->count - 1;
+    for (uint32_t bad : {0xFFFFFFFFu, n + 1}) {
+      SCOPED_TRACE(bad);
+      CompressedSegment corrupt = *seg;
+      std::memcpy(corrupt.data.data() + kExcCountAt, &bad, 4);
+      Vector out(TypeId::kI64, in.size());
+      EXPECT_TRUE(compression::DecodeInto(corrupt, &out).IsCorruption());
+      compression::SegmentReader reader;
+      EXPECT_TRUE(reader
+                      .Open(corrupt.codec, corrupt.type, corrupt.count,
+                            corrupt.data.data(), corrupt.data.size())
+                      .IsCorruption());
+      std::vector<int64_t> range(20);
+      EXPECT_TRUE(reader.Read(10, 20, range.data()).IsCorruption());
+    }
+  }
+}
+
 TEST(CorruptionTest, TruncatedSegmentFails) {
   std::vector<int64_t> in(100, 5);
   auto seg = EncodeVec(Codec::kPfor, TypeId::kI64, in);
@@ -296,6 +333,102 @@ TEST(CorruptionTest, TruncatedSegmentFails) {
   bad.data.resize(bad.data.size() / 2);
   Vector out(TypeId::kI64, in.size());
   EXPECT_FALSE(compression::DecodeInto(bad, &out).ok());
+}
+
+// Decodes `seg` through one SegmentReader by a random sequence of monotone
+// row ranges (gaps between them skip rows) and checks each range.
+void ExpectRangeReadsMatch(const CompressedSegment& seg,
+                           const std::vector<int64_t>& want, uint64_t seed) {
+  compression::SegmentReader reader;
+  ASSERT_TRUE(reader
+                  .Open(seg.codec, seg.type, seg.count, seg.data.data(),
+                        seg.data.size())
+                  .ok());
+  Rng rng(seed);
+  std::vector<int64_t> got(want.size() + 1);
+  size_t begin = static_cast<size_t>(rng.Uniform(0, 3));
+  while (begin < want.size()) {
+    size_t n = std::min<size_t>(static_cast<size_t>(rng.Uniform(1, 150)),
+                                want.size() - begin);
+    Status s = reader.Read(begin, n, got.data());
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    for (size_t k = 0; k < n; k++) {
+      ASSERT_EQ(got[k], want[begin + k])
+          << CodecToString(seg.codec) << " row " << begin + k;
+    }
+    begin += n + static_cast<size_t>(rng.Uniform(0, 1) ? rng.Uniform(0, 70) : 0);
+  }
+}
+
+// Value ranges wider than INT64_MAX: PFOR's value - base and PFOR-DELTA's
+// cur - prev (and their decode-side inverses) must wrap in unsigned
+// arithmetic rather than overflow. Every int codec and the chooser (which
+// tries every codec) round-trip, decoded whole and by ranges.
+TEST(FullRangeTest, Int64ExtremesRoundTripThroughEveryIntCodec) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  std::vector<std::pair<std::string, std::vector<int64_t>>> cases;
+  cases.emplace_back("all_min", std::vector<int64_t>(300, kMin));
+  cases.emplace_back("all_max", std::vector<int64_t>(300, kMax));
+  std::vector<int64_t> alternating;
+  for (int i = 0; i < 301; i++) alternating.push_back(i % 2 ? kMax : kMin);
+  cases.emplace_back("alternating", alternating);
+  for (int64_t extreme : {kMin, kMax}) {
+    std::vector<int64_t> one;
+    for (int i = 0; i < 500; i++) one.push_back(i % 10);
+    one[250] = extreme;
+    cases.emplace_back(extreme == kMin ? "one_min" : "one_max", one);
+  }
+  cases.emplace_back("mixed", std::vector<int64_t>{kMin, kMax, 0, -1, 1, kMin + 1,
+                                                   kMax - 1, kMin, kMin, kMax});
+  uint64_t seed = 1;
+  for (const auto& [name, in] : cases) {
+    SCOPED_TRACE(name);
+    for (Codec c : {Codec::kPfor, Codec::kPforDelta, Codec::kRle}) {
+      SCOPED_TRACE(CodecToString(c));
+      EXPECT_EQ(RoundTrip(c, TypeId::kI64, in), in);
+      auto seg = EncodeVec(c, TypeId::kI64, in);
+      ASSERT_TRUE(seg.ok());
+      ExpectRangeReadsMatch(*seg, in, seed++);
+    }
+    auto best = compression::EncodeBest(ToVector(TypeId::kI64, in), in.size());
+    ASSERT_TRUE(best.ok());
+    Vector out(TypeId::kI64, in.size());
+    ASSERT_TRUE(compression::DecodeInto(*best, &out).ok());
+    EXPECT_EQ(FromVector<int64_t>(out, in.size()), in)
+        << "EncodeBest chose " << CodecToString(best->codec);
+    ExpectRangeReadsMatch(*best, in, seed++);
+  }
+}
+
+// Range reads may go backwards (the reader rewinds to row 0) and may be a
+// single row (the scan's modified-row path); both equal the whole decode.
+TEST(SegmentReaderTest, BackwardAndSingleRowReadsMatchWholeDecode) {
+  std::vector<int64_t> in;
+  Rng rng(21);
+  for (int i = 0; i < 3000; i++) {
+    in.push_back(i % 97 == 5 ? (int64_t{1} << 50) : rng.Uniform(0, 300));
+  }
+  for (Codec c : {Codec::kPlain, Codec::kPfor, Codec::kPforDelta, Codec::kRle}) {
+    SCOPED_TRACE(CodecToString(c));
+    auto seg = EncodeVec(c, TypeId::kI64, in);
+    ASSERT_TRUE(seg.ok());
+    compression::SegmentReader reader;
+    ASSERT_TRUE(reader
+                    .Open(seg->codec, seg->type, seg->count, seg->data.data(),
+                          seg->data.size())
+                    .ok());
+    int64_t v = 0;
+    for (size_t row : {2999, 1500, 1501, 5, 0, 2000, 64, 63, 2999}) {
+      ASSERT_TRUE(reader.Read(row, 1, &v).ok());
+      EXPECT_EQ(v, in[row]) << "row " << row;
+    }
+    std::vector<int64_t> tail(1000);
+    ASSERT_TRUE(reader.Read(2000, 1000, tail.data()).ok());
+    ASSERT_TRUE(reader.Read(100, 1000, tail.data()).ok());
+    EXPECT_TRUE(std::equal(tail.begin(), tail.end(), in.begin() + 100));
+    EXPECT_TRUE(reader.Read(2999, 2, &v).IsCorruption());  // past the end
+  }
 }
 
 // --- property sweep: every integer codec round-trips on varied distributions
