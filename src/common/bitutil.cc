@@ -31,30 +31,4 @@ void PackBits(const uint64_t* in, size_t n, int width, uint8_t* out) {
   }
 }
 
-void UnpackBits(const uint8_t* in, size_t n, int width, uint64_t* out) {
-  VWISE_CHECK(width >= 0 && width <= 64);
-  if (width == 0) {
-    std::memset(out, 0, n * sizeof(uint64_t));
-    return;
-  }
-  const uint64_t mask = width == 64 ? ~uint64_t{0} : ((uint64_t{1} << width) - 1);
-  size_t bitpos = 0;
-  for (size_t i = 0; i < n; i++) {
-    size_t word = bitpos >> 6;
-    int offset = static_cast<int>(bitpos & 63);
-    // Unaligned word loads keep this branch-light; the buffer is always
-    // word-padded by PackedSize.
-    uint64_t lo;
-    std::memcpy(&lo, in + word * 8, 8);
-    uint64_t v = lo >> offset;
-    if (offset + width > 64) {
-      uint64_t hi;
-      std::memcpy(&hi, in + (word + 1) * 8, 8);
-      v |= hi << (64 - offset);
-    }
-    out[i] = v & mask;
-    bitpos += width;
-  }
-}
-
 }  // namespace vwise::bit

@@ -31,9 +31,6 @@ inline uint64_t NextPowerOfTwo(uint64_t v) {
 // 8-byte words. Values must fit in `width` bits.
 void PackBits(const uint64_t* in, size_t n, int width, uint8_t* out);
 
-// Reverse of PackBits.
-void UnpackBits(const uint8_t* in, size_t n, int width, uint64_t* out);
-
 // Byte size of a packed run of `n` values at `width` bits, word-aligned.
 inline size_t PackedSize(size_t n, int width) {
   return RoundUp(CeilDiv(static_cast<uint64_t>(n) * width, 8), 8);

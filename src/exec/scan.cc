@@ -97,6 +97,9 @@ Status ScanOperator::OpenImpl() {
   encoded_ok_ = config_.enable_encoded_exec && pdt_->empty();
   rle_views_.assign(columns_.size(), nullptr);
   repr_stats_ = ReprStats();
+  // One patch per modified row of a range. A range ends when the list is
+  // full, which a chunk of at most vector_size rows never reaches.
+  patches_ = ctx()->scratch()->AcquireArray<Patch>(config_.vector_size);
   return Status::OK();
 }
 
@@ -130,14 +133,19 @@ Status ScanOperator::AdvanceStripe(bool* done) {
     VWISE_RETURN_IF_ERROR(
         snap_.stable->OpenSegment(stripe, columns_[i], &col.reader));
     col.repr = VectorRepr::kFlat;
-    col.dict_codes.reset();
     if (!encoded_ok_) continue;
     // Adopt PDICT and RLE segments in their storage encoding: codes for the
     // stripe, or the reader's run arrays, sliced per chunk after the merge.
     if (col.reader.codec() == Codec::kPdict) {
       uint32_t n = col.reader.count();
+      size_t bytes = static_cast<size_t>(n) * 4;
       col.repr = VectorRepr::kDict;
-      col.dict_codes = Buffer::Allocate(static_cast<size_t>(n) * 4);
+      // Codes are shared with dict views; reuse the buffer once nothing else
+      // does.
+      if (col.dict_codes == nullptr || col.dict_codes.use_count() > 1 ||
+          col.dict_codes->capacity() < bytes) {
+        col.dict_codes = Buffer::Allocate(bytes);
+      }
       VWISE_RETURN_IF_ERROR(
           col.reader.ReadCodes(0, n, col.dict_codes->As<uint32_t>()));
     } else if (col.reader.codec() == Codec::kRle) {
@@ -192,39 +200,41 @@ Status ScanOperator::Next(DataChunk* out) {
       }
       out->column(i).AddStringHeapRef(insert_heap_);
     }
+    // Stable and modified rows accumulate into one range of contiguous
+    // stable positions, decoded with one Read per flat column and then
+    // patched with the range's modify records (column-wise merge). A
+    // delete, an insert, the chunk end, the stripe end or a full patch list
+    // ends the range.
+    StableRange range;
     Pdt::MergeEvent ev;
     while (filled < cap && merge_->Next(&ev, cap - filled)) {
       switch (ev.kind) {
-        case Pdt::MergeEvent::kStableRun: {
-          size_t local = static_cast<size_t>(ev.sid - stripe_first_row_);
-          if (chunk_begin == SIZE_MAX) chunk_begin = local;
-          for (size_t i = 0; i < columns_.size(); i++) {
-            // Encoded columns are published as views after the merge loop
-            // instead of being decoded.
-            if (cols_[i].repr == VectorRepr::kFlat) {
-              VWISE_RETURN_IF_ERROR(cols_[i].reader.Read(
-                  local, ev.count, Slot(&out->column(i), filled)));
-            }
-          }
-          filled += ev.count;
-          break;
-        }
+        case Pdt::MergeEvent::kStableRun:
         case Pdt::MergeEvent::kModifiedRow: {
           size_t local = static_cast<size_t>(ev.sid - stripe_first_row_);
-          for (size_t i = 0; i < columns_.size(); i++) {
-            VWISE_RETURN_IF_ERROR(
-                cols_[i].reader.Read(local, 1, Slot(&out->column(i), filled)));
-            auto it = ev.rec->mods.find(columns_[i]);
-            if (it != ev.rec->mods.end()) {
-              StoreValue(&out->column(i), filled, it->second, insert_heap_.get());
-            }
+          if (range.n > 0 && (local != range.local + range.n ||
+                              range.n_patches == config_.vector_size)) {
+            VWISE_RETURN_IF_ERROR(FlushRange(&range, out));
           }
-          filled++;
+          if (range.n == 0) {
+            range.local = local;
+            range.out = filled;
+          }
+          if (chunk_begin == SIZE_MAX) chunk_begin = local;
+          size_t n = 1;
+          if (ev.kind == Pdt::MergeEvent::kStableRun) {
+            n = static_cast<size_t>(ev.count);
+          } else {
+            patches_.data<Patch>()[range.n_patches++] = {filled, ev.rec};
+          }
+          range.n += n;
+          filled += n;
           break;
         }
         case Pdt::MergeEvent::kDeletedRow:
           break;
         case Pdt::MergeEvent::kInsertedRow: {
+          VWISE_RETURN_IF_ERROR(FlushRange(&range, out));
           for (size_t i = 0; i < columns_.size(); i++) {
             StoreValue(&out->column(i), filled, ev.rec->row[columns_[i]],
                        insert_heap_.get());
@@ -234,6 +244,7 @@ Status ScanOperator::Next(DataChunk* out) {
         }
       }
     }
+    VWISE_RETURN_IF_ERROR(FlushRange(&range, out));
     if (filled >= cap) break;
     in_stripe_ = false;  // merge exhausted for this stripe
   }
@@ -258,6 +269,35 @@ Status ScanOperator::Next(DataChunk* out) {
     }
   }
   out->SetCount(filled);
+  return Status::OK();
+}
+
+// Decodes `*range` into the flat output columns, then stores each patch's
+// modified values at its output position in every column that projects the
+// modified table column (a column may be projected twice). Leaves `*range`
+// empty.
+Status ScanOperator::FlushRange(StableRange* range, DataChunk* out) {
+  if (range->n == 0) return Status::OK();
+  for (size_t i = 0; i < columns_.size(); i++) {
+    // Encoded columns are published as views after the merge loop instead
+    // of being decoded.
+    if (cols_[i].repr == VectorRepr::kFlat) {
+      VWISE_RETURN_IF_ERROR(cols_[i].reader.Read(
+          range->local, range->n, Slot(&out->column(i), range->out)));
+    }
+  }
+  const Patch* patches = patches_.data<Patch>();
+  for (size_t p = 0; p < range->n_patches; p++) {
+    for (const auto& [col, value] : patches[p].rec->mods) {
+      for (size_t i = 0; i < columns_.size(); i++) {
+        if (columns_[i] == col) {
+          StoreValue(&out->column(i), patches[p].pos, value,
+                     insert_heap_.get());
+        }
+      }
+    }
+  }
+  *range = StableRange();
   return Status::OK();
 }
 
@@ -308,6 +348,7 @@ void ScanOperator::Close() {
   merge_.reset();
   cols_.clear();
   rle_views_.clear();
+  patches_.Release();
 }
 
 }  // namespace vwise

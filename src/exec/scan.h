@@ -8,6 +8,7 @@
 #include "exec/operator.h"
 #include "scan/scan_scheduler.h"
 #include "txn/transaction_manager.h"
+#include "vector/vector_scratch.h"
 
 namespace vwise {
 
@@ -23,9 +24,9 @@ struct ScanRange {
 
 // Vectorized table scan: opens one segment reader per column and stripe
 // (through the buffer manager and, optionally, a cooperative-scan
-// scheduler), merges in PDT deltas by position and decodes each stable run
-// straight into the output vectors. Emits dense chunks; a chunk never spans
-// stripes.
+// scheduler), merges in PDT deltas by position and decodes each range of
+// contiguous stable rows straight into the output vectors, patching the
+// modified values over it. Emits dense chunks; a chunk never spans stripes.
 class ScanOperator final : public Operator {
  public:
   struct Options {
@@ -83,11 +84,30 @@ class ScanOperator final : public Operator {
   struct ColumnCursor {
     compression::SegmentReader reader;
     VectorRepr repr = VectorRepr::kFlat;
-    std::shared_ptr<Buffer> dict_codes;  // kDict: the stripe's codes
+    // kDict: the stripe's codes; the buffer is reused by later stripes once
+    // no dict view references it.
+    std::shared_ptr<Buffer> dict_codes;
+  };
+
+  // A modified stable row of the current range: its output position and the
+  // record whose `mods` are stored over the range's decoded values.
+  struct Patch {
+    size_t pos;
+    const PdtRecord* rec;
+  };
+  // Contiguous stable rows [local, local + n) of the stripe, emitted at
+  // output positions [out, out + n), with the first n_patches entries of
+  // the patch list.
+  struct StableRange {
+    size_t local = 0;
+    size_t out = 0;
+    size_t n = 0;
+    size_t n_patches = 0;
   };
 
   Status OpenImpl() override;
   Status AdvanceStripe(bool* done);
+  Status FlushRange(StableRange* range, DataChunk* out);
   bool StripeQualifies(size_t stripe) const;
   void PublishRleRange(const compression::SegmentReader& reader, size_t begin,
                        size_t n, std::shared_ptr<RleView>* scratch,
@@ -119,6 +139,9 @@ class ScanOperator final : public Operator {
   // (delta merging writes through flat buffers).
   bool encoded_ok_ = false;
   std::vector<std::shared_ptr<RleView>> rle_views_;  // per column scratch
+  // Patch list of the current range (vector_size entries), leased from the
+  // query's scratch arena.
+  ScratchHandle patches_;
   ReprStats repr_stats_;
 };
 

@@ -16,6 +16,31 @@
 namespace vwise {
 namespace {
 
+// Reference inverse of bit::PackBits: reads `n` values of `width` bits one
+// at a time from the word-padded packed buffer.
+void UnpackBits(const uint8_t* in, size_t n, int width, uint64_t* out) {
+  if (width == 0) {
+    std::memset(out, 0, n * sizeof(uint64_t));
+    return;
+  }
+  const uint64_t mask = width == 64 ? ~uint64_t{0} : ((uint64_t{1} << width) - 1);
+  size_t bitpos = 0;
+  for (size_t i = 0; i < n; i++) {
+    size_t word = bitpos >> 6;
+    int offset = static_cast<int>(bitpos & 63);
+    uint64_t lo;
+    std::memcpy(&lo, in + word * 8, 8);
+    uint64_t v = lo >> offset;
+    if (offset + width > 64) {
+      uint64_t hi;
+      std::memcpy(&hi, in + (word + 1) * 8, 8);
+      v |= hi << (64 - offset);
+    }
+    out[i] = v & mask;
+    bitpos += static_cast<size_t>(width);
+  }
+}
+
 TEST(StatusTest, OkIsDefault) {
   Status s;
   EXPECT_TRUE(s.ok());
@@ -104,7 +129,7 @@ TEST(BitUtilTest, PackUnpackAllWidths) {
     for (size_t i = 0; i < n; i++) in[i] = rng.Next() & mask;
     std::vector<uint8_t> packed(bit::PackedSize(n, width));
     bit::PackBits(in.data(), n, width, packed.data());
-    bit::UnpackBits(packed.data(), n, width, out.data());
+    UnpackBits(packed.data(), n, width, out.data());
     EXPECT_EQ(in, out) << "width=" << width;
   }
 }

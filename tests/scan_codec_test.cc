@@ -5,7 +5,8 @@
 // checkpoint that merges them, with encoded execution on and off. Every
 // scan must equal a row-vector reference model row by row, which pins the
 // per-vector segment reads (range decode, cursors carried across skipped
-// rows, modified rows read one at a time) to the whole-segment semantics.
+// rows, modified values patched over ranges of contiguous stable rows) to
+// the whole-segment semantics.
 
 #include <algorithm>
 #include <filesystem>
@@ -99,24 +100,33 @@ class ScanCodecTest : public ::testing::Test {
 
   // Scans every column through ScanOperator and compares with the model.
   void ExpectScanMatchesModel(bool encoded, const std::string& what) {
+    std::vector<uint32_t> cols;
+    for (uint32_t c = 0; c < kNumCols; c++) cols.push_back(c);
+    ExpectProjectionMatchesModel(cols, config_.vector_size, encoded, what);
+  }
+
+  // Scans `cols` (table columns, repeats allowed) in vectors of
+  // `vector_size` rows and compares each output column with the model.
+  void ExpectProjectionMatchesModel(const std::vector<uint32_t>& cols,
+                                    size_t vector_size, bool encoded,
+                                    const std::string& what) {
     SCOPED_TRACE(what + (encoded ? " (encoded execution on)"
                                  : " (encoded execution off)"));
     Config cfg = config_;
     cfg.enable_encoded_exec = encoded;
+    cfg.vector_size = vector_size;
     auto snap = mgr_->GetSnapshot("t");
     ASSERT_TRUE(snap.ok());
-    std::vector<uint32_t> cols;
-    for (uint32_t c = 0; c < kNumCols; c++) cols.push_back(c);
     ScanOperator scan(*snap, cols, cfg);
     auto result = CollectRows(&scan, cfg.vector_size);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     ASSERT_EQ(result->rows.size(), model_.size());
     for (size_t r = 0; r < model_.size(); r++) {
-      for (uint32_t c = 0; c < kNumCols; c++) {
-        ASSERT_EQ(result->rows[r][c], model_[r][c])
-            << "row " << r << " column " << c << ": got "
-            << result->rows[r][c].ToString() << ", want "
-            << model_[r][c].ToString();
+      for (size_t i = 0; i < cols.size(); i++) {
+        ASSERT_EQ(result->rows[r][i], model_[r][cols[i]])
+            << "row " << r << " output " << i << " (column " << cols[i]
+            << "): got " << result->rows[r][i].ToString() << ", want "
+            << model_[r][cols[i]].ToString();
       }
     }
   }
@@ -233,6 +243,80 @@ TEST_F(ScanCodecTest, ScanMatchesModelUnderDeltasAndAfterCheckpoint) {
   // the deltas into a new table version.
   ASSERT_TRUE(mgr_->Checkpoint().ok());
   ExpectScanMatchesModel(true, "after checkpoint");
+  ExpectScanMatchesModel(false, "after checkpoint");
+}
+
+// Dense value-changing modifies: the scan reads each range of contiguous
+// stable rows once per column and patches the modified values over it, so a
+// patch it misses (or stores in the wrong output column or position) shows
+// up as a stale value here.
+TEST_F(ScanCodecTest, DenseModifiesArePatchedOverCoalescedRanges) {
+  auto text = [](const char* prefix, int64_t r) {
+    std::string s = prefix;
+    s += std::to_string(r);
+    return Value::String(s);
+  };
+  auto txn = mgr_->Begin();
+  // One stable row in 8 gets new values in a rotating set of columns, every
+  // codec and both string columns included, across all stripes and vectors.
+  for (int64_t r = 3; r < kRows; r += 8) {
+    uint64_t rid = Pos(StableKey(r));
+    switch ((r / 8) % 4) {
+      case 0:
+        Modify(txn.get(), rid, kVal, Value::Int(-r));
+        Modify(txn.get(), rid, kTag, text("TAG-", r));
+        break;
+      case 1:
+        Modify(txn.get(), rid, kNote, text("n", r));
+        Modify(txn.get(), rid, kQty, Value::Int(1000 + r % 1000));
+        break;
+      case 2:
+        Modify(txn.get(), rid, kLevel, Value::Double(-0.5 - r));
+        Modify(txn.get(), rid, kFlag, Value::Int(r % 5 == 0 ? 0 : 1));
+        break;
+      default:
+        ModifyAll(txn.get(), rid, r);
+        break;
+    }
+  }
+  // Deletes and inserts right next to modified rows: a delete just before
+  // and just after every 64th modified row, an insert just before and just
+  // after every 64th other one.
+  for (int64_t r = 3; r < kRows; r += 64) {
+    if (r + 1 < kRows) Delete(txn.get(), Pos(StableKey(r + 1)));
+    Delete(txn.get(), Pos(StableKey(r - 1)));
+  }
+  for (int64_t r = 35; r < kRows; r += 64) {
+    Insert(txn.get(), Pos(StableKey(r)), NewRow(-r));
+    Insert(txn.get(), Pos(StableKey(r)) + 1, NewRow(-r - 1));
+  }
+  ASSERT_TRUE(mgr_->Commit(txn.get()).ok());
+
+  // A second commit modifies rows the first one modified (the later value
+  // wins) and rows next to them.
+  auto txn2 = mgr_->Begin();
+  for (int64_t r = 11; r + 1 < kRows; r += 64) {
+    Modify(txn2.get(), Pos(StableKey(r)), kTag, Value::String("SECOND"));
+    Modify(txn2.get(), Pos(StableKey(r + 1)), kPrice, Value::Double(r * 0.25));
+  }
+  ASSERT_TRUE(mgr_->Commit(txn2.get()).ok());
+
+  // 100-row vectors: coalesced ranges cross chunk boundaries, which never
+  // line up with the stripe or the modify pattern.
+  for (bool encoded : {true, false}) {
+    ExpectScanMatchesModel(encoded, "all columns");
+    ExpectProjectionMatchesModel({kTag, kKey, kVal, kTag, kPrice}, 100, encoded,
+                                 "tag projected twice, note/level/qty/flag "
+                                 "modified but not projected");
+    ExpectProjectionMatchesModel({kNote, kLevel, kNote, kQty, kFlag}, 100,
+                                 encoded, "note projected twice");
+    ExpectProjectionMatchesModel({kKey}, 100, encoded,
+                                 "only an unmodified column");
+  }
+
+  ASSERT_TRUE(mgr_->Checkpoint().ok());
+  ExpectProjectionMatchesModel({kTag, kKey, kVal, kTag, kPrice}, 100, true,
+                               "after checkpoint");
   ExpectScanMatchesModel(false, "after checkpoint");
 }
 
